@@ -5,9 +5,7 @@ Three families cover every integral in the library:
 * tanh-sinh (double-exponential) rules on a finite interval, robust to
   integrable endpoint singularities such as cos^alpha near pi/2;
 * exp-sinh rules on a half line, for integrands with algebraic behaviour
-  at the finite end and (at least) exponential decay at infinity, with a
-  log-space variant for integrands spanning hundreds of orders of
-  magnitude;
+  at the finite end and (at least) exponential decay at infinity;
 * lobe-splitting with iterated averaging for oscillatory integrals
   (cosine/Bessel factors), where plain rules stall.
 
@@ -34,16 +32,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
-
-
-def _logsumexp(a):
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + math.log(np.sum(np.exp(a - m))))
 
 
 # ---------------------------------------------------------------------------
@@ -162,37 +150,6 @@ def exp_sinh(f, a=0.0, scale=1.0, rel_tol=1e-12, abs_tol=0.0, max_level=12):
         value=prev, error_estimate=err)
 
 
-def exp_sinh_log(log_f, a=0.0, scale=1.0, rel_tol=1e-12, max_level=12):
-    """Like exp_sinh but in log space: integrates exp(log_f(x)).
-
-    log_f must accept arrays and may return -inf where the integrand
-    underflows. Returns (log_value, rel_error_estimate). The integrand is
-    exp of something, hence nonnegative; its magnitude may span hundreds
-    of orders of magnitude safely.
-    """
-    t_max = 4.8
-    level_logs = []
-    prev = None
-    err = math.inf
-    for level in range(max_level + 1):
-        h = 0.5 ** level
-        t = _de_params(h, t_max, level)
-        x, w = _exp_sinh_xw(t, a, scale)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lf = log_f(x) + np.log(w)
-        lf = lf[np.isfinite(lf)]
-        level_logs.append(_logsumexp(lf))
-        log_value = _logsumexp(np.array(level_logs)) + math.log(h)
-        if prev is not None and level >= 2:
-            err = abs(math.expm1(max(min(log_value - prev, 700.0), -700.0)))
-            if err <= rel_tol:
-                return log_value, err
-        prev = log_value
-    raise QuadratureError(
-        "exp-sinh (log) did not reach tol=%.1e (rel err %.2e)" % (rel_tol, err),
-        value=prev, error_estimate=err)
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panels and oscillatory lobe sums
 
@@ -232,63 +189,20 @@ def _averaging_diagonal(partial_sums):
     return row[..., 0]
 
 
-def accelerated_lobe_sum(lobe_integrals, first_segment=0.0):
-    """Limit of first_segment + sum(lobe_integrals) for alternating lobes.
-
-    Applies the iterated-averaging transform to the tail of the
-    partial-sum sequence. Returns (value, error_estimate).
-    """
-    lobes = np.asarray(lobe_integrals)
-    if lobes.size == 0:
-        return first_segment, 0.0
-    partial = first_segment + np.cumsum(lobes)
-    if partial.size < 3:
-        return partial[-1], float(abs(lobes[-1]))
-    tail = partial[max(0, partial.size - 24):]
-    v_full = _averaging_diagonal(tail)
-    v_drop = _averaging_diagonal(tail[:-1])
-    return v_full, float(abs(v_full - v_drop))
-
-
-def integrate_lobes(f, boundary_gen, rel_tol=1e-10, abs_tol=0.0,
-                    max_lobes=512, order=32, block=16):
-    """Integrate f over [b0, inf) where boundary_gen yields b0 < b1 < ...
-
-    The boundaries should bracket sign changes of the oscillatory factor
-    (consecutive zeros); each lobe gets a Gauss-Legendre rule and the
-    alternating lobe series is accelerated. f may return complex values.
-    Returns (value, error_estimate).
-    """
-    last_edge = next(boundary_gen)
-    lobes = []
-    best = None
-    err = math.inf
-    for _ in range(max(1, max_lobes // block)):
-        edges = [last_edge]
-        for _ in range(block):
-            edges.append(next(boundary_gen))
-        last_edge = edges[-1]
-        vals = panel_integrate(f, np.array(edges), order=order)
-        lobes.extend(vals.tolist())
-        value, err = accelerated_lobe_sum(lobes)
-        if len(lobes) >= 2 * block and err <= rel_tol * abs(value) + abs_tol:
-            return value, err
-        best = value
-    raise QuadratureError(
-        "lobe sum did not settle (err estimate %.2e)" % err,
-        value=best, error_estimate=err)
-
-
 def integrate_lobes_rows(f, boundary_gen, rel_tol=1e-10, abs_tol=0.0,
                          max_lobes=512, order=32, block=16):
-    """Row-vectorized integrate_lobes.
+    """Integrate each row of f over [b0, inf), split at b0 < b1 < ...
 
-    f(x) must return a matrix of shape (rows, x.size): many integrands
-    sharing one set of lobe boundaries (e.g. an oscillatory inner integral
-    evaluated for a whole batch of outer quadrature nodes). Rows whose
-    magnitude is far below the largest row are held to a proportionally
-    absolute tolerance, since they cannot matter downstream. Returns
-    (values, worst_error).
+    boundary_gen yields the lobe boundaries, which should bracket sign
+    changes of the oscillatory factor (consecutive zeros); each lobe gets
+    a Gauss-Legendre rule and each row's alternating lobe series is
+    accelerated by iterated averaging. f(x) must return a matrix of shape
+    (rows, x.size), possibly complex: many integrands sharing one set of
+    lobe boundaries (e.g. an oscillatory inner integral evaluated for a
+    whole batch of outer quadrature nodes), or one row for one integrand.
+    Rows whose magnitude is far below the largest row are held to a
+    proportionally absolute tolerance, since they cannot matter
+    downstream. Returns (values, worst_error).
     """
     nodes, weights = gauss_legendre(order)
     last_edge = next(boundary_gen)

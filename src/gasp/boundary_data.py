@@ -3,9 +3,9 @@
 Data on the boundary is represented as f = sum_beta d^beta f_beta where
 each f_beta is sampled on a compact uniform grid. Compact support makes
 every weighted integral finite, so membership in the admissible class is
-by construction. The module also builds the sparse-bump data used to
-show that the growth exponents are sharp, and reads/writes the JSON data
-file format.
+by construction. The module also holds the grid helpers the other
+modules share, builds the sparse-bump data used to show that the growth
+exponents are sharp, and reads/writes the JSON data file format.
 """
 
 import json
@@ -64,6 +64,46 @@ class Grid:
     def axis_coords(self, axis):
         """Sample coordinates along one axis."""
         return self.origin[axis] + self.spacing * np.arange(self.shape[axis])
+
+    @property
+    def coords(self):
+        """Sample coordinates of every axis, as a list of 1-D arrays."""
+        return [self.axis_coords(axis) for axis in range(self.n)]
+
+
+# Grid helpers. Each takes per-axis 1-D arrays, such as Grid.coords, and
+# works on the row-major lattice they span.
+
+
+def radius_sq(axes):
+    """|x|^2 at every lattice point."""
+    return sum(a * a for a in np.ix_(*axes))
+
+
+def grid_points(axes):
+    """The lattice points in row-major order, as an (n, N) array.
+
+    Row i holds the i-th coordinate of every point, contiguous.
+    """
+    return np.array([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
+def trapezoid_weights(axes):
+    """Trapezoid-rule weights at every lattice point.
+
+    The product of one-dimensional rules built from the coordinates
+    themselves, so an axis whose last step is shorter (a half-resolution
+    axis that keeps its endpoint) is weighted correctly. Every axis needs
+    at least 2 samples.
+    """
+    out = np.array(1.0)
+    for c in axes:
+        w = np.empty(c.size)
+        w[0] = 0.5 * (c[1] - c[0])
+        w[-1] = 0.5 * (c[-1] - c[-2])
+        w[1:-1] = 0.5 * (c[2:] - c[:-2])
+        out = np.multiply.outer(out, w)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,29 +189,6 @@ def weight_alpha(p, x):
     return (1.0 + s) ** (0.5 * p.mu)
 
 
-def _grid_radius_sq(grid):
-    # |x|^2 on the full grid via broadcast sum of per-axis squares
-    out = np.zeros(grid.shape)
-    for axis in range(grid.n):
-        dims = [1] * grid.n
-        dims[axis] = grid.shape[axis]
-        c = grid.axis_coords(axis)
-        out = out + (c * c).reshape(dims)
-    return out
-
-
-def _trapezoid_apply(vals, grid):
-    # multiply in the composite-trapezoid endpoint halving, axis by axis
-    for axis in range(grid.n):
-        w = np.ones(grid.shape[axis])
-        w[0] = 0.5
-        w[-1] = 0.5
-        dims = [1] * grid.n
-        dims[axis] = grid.shape[axis]
-        vals = vals * w.reshape(dims)
-    return vals
-
-
 def weighted_l1_norm(term, p):
     """Weighted L^1 norm of one term, int |f_beta(x)| / w_alpha(x) dx.
 
@@ -191,9 +208,10 @@ def weighted_l1_norm(term, p):
     if term.n != p.n:
         raise ValueError("term is %d-dimensional, params have n=%d"
                          % (term.n, p.n))
-    winv = (1.0 + _grid_radius_sq(term.grid)) ** (-0.5 * p.mu)
-    integ = _trapezoid_apply(np.abs(term.values_grid) * winv, term.grid)
-    return float(np.sum(integ)) * term.grid.spacing ** term.n
+    coords = term.grid.coords
+    winv = (1.0 + radius_sq(coords)) ** (-0.5 * p.mu)
+    return float(np.sum(np.abs(term.values_grid) * winv
+                        * trapezoid_weights(coords)))
 
 
 @dataclass(frozen=True)
@@ -284,12 +302,9 @@ def sharpness_data(p, case, k_max):
         origin = (center - rho,) + (-rho,) * (p.n - 1)
         grid = Grid(origin=origin, spacing=spacing, shape=(_TENT_POINTS,) * p.n)
 
-        dist_sq = np.zeros(grid.shape)
-        for axis in range(p.n):
-            dims = [1] * p.n
-            dims[axis] = _TENT_POINTS
-            c = grid.axis_coords(axis) - (center if axis == 0 else 0.0)
-            dist_sq = dist_sq + (c * c).reshape(dims)
+        offsets = grid.coords
+        offsets[0] = offsets[0] - center
+        dist_sq = radius_sq(offsets)
         tent = height * np.maximum(0.0, 1.0 - np.sqrt(dist_sq) / rho)
         terms.append(WeightedTerm(beta=MultiIndex((0,) * p.n), grid=grid,
                                   values=tent.reshape(-1)))

@@ -1,12 +1,15 @@
 """``gasp``: command-line access to every capability of the library.
 
 Exit codes: 0 on success; 2 on validation failure, with a machine-readable
-JSON error object on stderr; 3 on numerical nonconvergence, same shape.
+JSON error object on stderr; 3 on numerical nonconvergence or overflow,
+same shape.
 
 Parameter precedence: explicit flags override values from ``--config`` (a
 JSON object keyed by the parameter names below, hyphens spelled as
-underscores), which override the defaults.  One table, one source of truth
-("-" marks a required parameter, auto = computed at run time):
+underscores), which override the defaults.  ``_DEFAULTS`` declares every
+parameter once, with its type and help line, and the options of each
+subcommand are generated from it ("-" marks a required parameter, auto =
+computed at run time):
 
     kernel eval            alpha=-  n=-  x=-  y=1
     kernel mass            alpha=-  n=-  y=1
@@ -35,6 +38,7 @@ CSV.  The three ``kernel`` subcommands print a single human-readable line
 to stdout and write their document only when ``--output`` is given.
 """
 
+import collections
 import functools
 import json
 import math
@@ -68,27 +72,80 @@ _REQ = _Required()
 # shared by every subcommand; "output": None means stdout
 _COMMON = {"format": None, "output": None, "workers": 1}
 
+# one command-line parameter: its default, its click type (None: text)
+# and its help line; the flag is the key with "_" spelled "-"
+_Param = collections.namedtuple("_Param", "default type help")
+
+_ALPHA = _Param(_REQ, float, "Weight exponent, > -1.")
+_N = _Param(_REQ, int, "Boundary dimension.")
+_X = _Param(_REQ, None, "Boundary point, n comma-separated values.")
+_Y = _Param(1.0, float, "Height above the boundary.")
+_DATA_ALPHA = _Param(None, float, "Optional; must match the data file.")
+_DATA_N = _Param(None, int, "Optional; must match the data file.")
+_ETA_HELP = "Absorbing level, 0 < eta < y."
+_SIM_N = _Param(1, int, "Boundary dimension (KS report needs 1).")
+_PATHS = _Param(_REQ, int, "Number of paths.")
+_DT = _Param(1e-3, float, "Time step, <= 1e-2.")
+_SEED = _Param(None, int, "Master seed (GASP_SEED, then 0).")
+_SAMPLES = _Param(None, click.Path(dir_okay=False),
+                  "Also dump the per-path samples to this CSV.")
+
 _DEFAULTS = {
-    "kernel eval": {"alpha": _REQ, "n": _REQ, "x": _REQ, "y": 1.0},
-    "kernel mass": {"alpha": _REQ, "n": _REQ, "y": 1.0},
-    "kernel residual": {"alpha": _REQ, "n": _REQ, "x": _REQ, "y": 1.0, "h": None},
-    "fourier compare": {"alpha": _REQ, "n": _REQ, "y": 1.0, "xi": _REQ},
-    "extend": {"data": _REQ, "alpha": None, "n": None, "y": _REQ,
-               "origin": _REQ, "spacing": _REQ, "shape": _REQ},
-    "converge": {"data": _REQ, "alpha": None, "n": None,
-                 "y_list": "1,0.25,0.0625,0.015625"},
-    "hitting kernel": {"alpha": _REQ, "n": _REQ, "y": _REQ, "eta": _REQ, "r": _REQ},
-    "hitting semigroup": {"alpha": _REQ, "n": _REQ, "y": _REQ, "eta2": _REQ,
-                          "eta1": _REQ, "origin": _REQ, "spacing": _REQ,
-                          "shape": _REQ, "tol": 1e-3},
-    "simulate boundary": {"alpha": _REQ, "n": 1, "y": 1.0, "paths": _REQ,
-                          "dt": 1e-3, "floor": None, "seed": None, "samples": None},
-    "simulate hitting": {"alpha": _REQ, "n": 1, "y": 2.0, "eta": 1.0,
-                         "paths": _REQ, "dt": 1e-3, "seed": None, "samples": None},
-    "growth scan": {"data": _REQ, "alpha": None, "n": None, "r": _REQ,
-                    "theta_count": 64},
-    "growth counterexample": {"alpha": _REQ, "n": _REQ, "case": "subcritical",
-                              "beta": 0.0, "gamma": 0.0, "k_max": 10},
+    "kernel eval": {"alpha": _ALPHA, "n": _N, "x": _X, "y": _Y},
+    "kernel mass": {"alpha": _ALPHA, "n": _N, "y": _Param(
+        1.0, float, "Height (the mass is 1 at every height).")},
+    "kernel residual": {"alpha": _ALPHA, "n": _N, "x": _X, "y": _Y,
+                        "h": _Param(None, float, "Stencil step (default y/100).")},
+    "fourier compare": {"alpha": _ALPHA, "n": _N, "y": _Y, "xi": _Param(
+        _REQ, None, "Frequency magnitudes |xi| > 0, comma-separated.")},
+    "extend": {
+        "data": _Param(_REQ, None,
+                       "Boundary-data JSON file (see the data-file schema)."),
+        "alpha": _DATA_ALPHA, "n": _DATA_N,
+        "y": _Param(_REQ, float, "Evaluation height, > 0."),
+        "origin": _Param(_REQ, None, "Output grid origin, n values."),
+        "spacing": _Param(_REQ, float, "Output grid spacing."),
+        "shape": _Param(_REQ, None, "Output grid shape, n integers.")},
+    "converge": {
+        "data": _Param(_REQ, None, "Boundary-data JSON file."),
+        "alpha": _DATA_ALPHA, "n": _DATA_N,
+        "y_list": _Param("1,0.25,0.0625,0.015625", None,
+                         "Strictly decreasing heights, comma-separated.")},
+    "hitting kernel": {
+        "alpha": _ALPHA, "n": _N, "y": _Param(_REQ, float, "Start level."),
+        "eta": _Param(_REQ, float, _ETA_HELP),
+        "r": _Param(_REQ, None, "Radii |x| >= 0, comma-separated.")},
+    "hitting semigroup": {
+        "alpha": _ALPHA, "n": _N, "y": _Param(_REQ, float, "Top level."),
+        "eta2": _Param(_REQ, float, "Middle level."),
+        "eta1": _Param(_REQ, float, "Bottom level."),
+        "origin": _Param(_REQ, None, "Check-grid origin, n values."),
+        "spacing": _Param(_REQ, float, "Check-grid spacing."),
+        "shape": _Param(_REQ, None, "Check-grid shape, n integers."),
+        "tol": _Param(1e-3, float, "Pass threshold on the deviation.")},
+    "simulate boundary": {
+        "alpha": _ALPHA, "n": _SIM_N, "y": _Param(1.0, float, "Start height."),
+        "paths": _PATHS, "dt": _DT,
+        "floor": _Param(None, float, "Stopping floor standing in for the "
+                        "boundary (default 1e-4*y)."),
+        "seed": _SEED, "samples": _SAMPLES},
+    "simulate hitting": {
+        "alpha": _ALPHA, "n": _SIM_N, "y": _Param(2.0, float, "Start level."),
+        "eta": _Param(1.0, float, _ETA_HELP), "paths": _PATHS, "dt": _DT,
+        "seed": _SEED, "samples": _SAMPLES},
+    "growth scan": {
+        "data": _Param(_REQ, None, "Boundary-data JSON file (beta = 0 terms)."),
+        "alpha": _DATA_ALPHA, "n": _DATA_N,
+        "r": _Param(_REQ, None, "Radii, comma-separated, increasing."),
+        "theta_count": _Param(64, int, "Angular resolution of the scan.")},
+    "growth counterexample": {
+        "alpha": _ALPHA, "n": _N,
+        "case": _Param("subcritical", click.Choice(("subcritical", "critical")),
+                       "Exponent regime of the construction."),
+        "beta": _Param(0.0, float, "Radial exponent (subcritical only; implied "
+                       "on the critical line)."),
+        "gamma": _Param(0.0, float, "Height exponent."),
+        "k_max": _Param(10, int, "Bumps to track.")},
 }
 
 # tables default to csv, reports and single values to json
@@ -114,6 +171,8 @@ def _guard(fn):
             fn(**kw)
         except QuadratureError as exc:
             _die(3, "nonconvergence", str(exc))
+        except OverflowError as exc:
+            _die(3, "overflow", str(exc))
         except (ValueError, OSError) as exc:
             _die(2, "validation", str(exc))
     return run
@@ -121,7 +180,7 @@ def _guard(fn):
 
 def _settings(command, config_path, flags):
     """Merge defaults, config-file values, and explicit flags (in that order)."""
-    merged = dict(_DEFAULTS[command])
+    merged = {key: spec.default for key, spec in _DEFAULTS[command].items()}
     merged.update(_COMMON)
     if config_path is not None:
         with open(config_path) as fh:
@@ -236,20 +295,41 @@ def _emit_report(settings, report):
     _emit(settings, report, tuple(report), [tuple(report.values())])
 
 
-def _common_options(fn):
-    for deco in (
-        click.option("--workers", type=int, default=None,
-                     help="Parallelism cap; never changes results."),
-        click.option("--format", "fmt", type=click.Choice(("json", "csv")),
-                     default=None, help="Primary document format."),
-        click.option("--output", type=click.Path(dir_okay=False), default=None,
-                     help="Write the primary document here instead of stdout."),
-        click.option("--config", "config_path",
-                     type=click.Path(exists=True, dir_okay=False), default=None,
-                     help="JSON object of parameter values; flags override it."),
-    ):
-        fn = deco(fn)
-    return fn
+_COMMON_OPTIONS = (
+    click.option("--workers", type=int, default=None,
+                 help="Parallelism cap; never changes results."),
+    click.option("--format", type=click.Choice(("json", "csv")),
+                 default=None, help="Primary document format."),
+    click.option("--output", type=click.Path(dir_okay=False), default=None,
+                 help="Write the primary document here instead of stdout."),
+    click.option("--config", "config_path",
+                 type=click.Path(exists=True, dir_okay=False), default=None,
+                 help="JSON object of parameter values; flags override it."),
+)
+
+
+def _command(group, name):
+    """Register ``handler(settings)`` as a subcommand of ``group``.
+
+    The options are those of the command's _DEFAULTS entry followed by
+    the common ones; the handler gets the merged settings.
+    """
+    key = name if group is main else "%s %s" % (group.name, name)
+
+    def register(handler):
+        @functools.wraps(handler)
+        def run(config_path, **flags):
+            handler(_settings(key, config_path, flags))
+
+        cmd = _guard(run)
+        for deco in _COMMON_OPTIONS:
+            cmd = deco(cmd)
+        for param, spec in reversed(_DEFAULTS[key].items()):
+            cmd = click.option("--" + param.replace("_", "-"), param,
+                               type=spec.type, default=None,
+                               help=spec.help)(cmd)
+        return group.command(name)(cmd)
+    return register
 
 
 @click.group()
@@ -265,17 +345,8 @@ def kernel_group():
     """Pointwise kernel values, total mass, and the PDE residual."""
 
 
-@kernel_group.command("eval")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension.")
-@click.option("--x", default=None, help="Boundary point, n comma-separated values.")
-@click.option("--y", type=float, default=None, help="Height above the boundary.")
-@_common_options
-@_guard
-def kernel_eval(alpha, n, x, y, config_path, output, fmt, workers):
-    s = _settings("kernel eval", config_path,
-                  {"alpha": alpha, "n": n, "x": x, "y": y,
-                   "format": fmt, "output": output, "workers": workers})
+@_command(kernel_group, "eval")
+def kernel_eval(s):
     p = _params(s)
     pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=float(s["y"]))
     value = poisson_kernel(p, pt)
@@ -288,16 +359,8 @@ def kernel_eval(alpha, n, x, y, config_path, output, fmt, workers):
               [pt.x + (pt.y, value)])
 
 
-@kernel_group.command("mass")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension.")
-@click.option("--y", type=float, default=None, help="Height (the mass is 1 at every height).")
-@_common_options
-@_guard
-def kernel_mass_cmd(alpha, n, y, config_path, output, fmt, workers):
-    s = _settings("kernel mass", config_path,
-                  {"alpha": alpha, "n": n, "y": y,
-                   "format": fmt, "output": output, "workers": workers})
+@_command(kernel_group, "mass")
+def kernel_mass_cmd(s):
     p = _params(s)
     mass = kernel_mass(p, float(s["y"]))
     # sequence-difference estimate: same quadrature at a coarser tolerance,
@@ -313,18 +376,8 @@ def kernel_mass_cmd(alpha, n, y, config_path, output, fmt, workers):
               [(p.alpha, p.n, float(s["y"]), mass, est)])
 
 
-@kernel_group.command("residual")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension.")
-@click.option("--x", default=None, help="Boundary point, n comma-separated values.")
-@click.option("--y", type=float, default=None, help="Height above the boundary.")
-@click.option("--h", type=float, default=None, help="Stencil step (default y/100).")
-@_common_options
-@_guard
-def kernel_residual(alpha, n, x, y, h, config_path, output, fmt, workers):
-    s = _settings("kernel residual", config_path,
-                  {"alpha": alpha, "n": n, "x": x, "y": y, "h": h,
-                   "format": fmt, "output": output, "workers": workers})
+@_command(kernel_group, "residual")
+def kernel_residual(s):
     p = _params(s)
     pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=float(s["y"]))
     step = None if s["h"] is None else float(s["h"])
@@ -346,18 +399,8 @@ def fourier_group():
     """Fourier transform of the kernel, three independent routes."""
 
 
-@fourier_group.command("compare")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension.")
-@click.option("--y", type=float, default=None, help="Height above the boundary.")
-@click.option("--xi", default=None,
-              help="Frequency magnitudes |xi| > 0, comma-separated.")
-@_common_options
-@_guard
-def fourier_compare(alpha, n, y, xi, config_path, output, fmt, workers):
-    s = _settings("fourier compare", config_path,
-                  {"alpha": alpha, "n": n, "y": y, "xi": xi,
-                   "format": fmt, "output": output, "workers": workers})
+@_command(fourier_group, "compare")
+def fourier_compare(s):
     p = _params(s)
     height = float(s["y"])
     rows = []
@@ -384,26 +427,9 @@ def fourier_compare(alpha, n, y, xi, config_path, output, fmt, workers):
 # ----------------------------------------------------------------- extend
 
 
-@main.command("extend")
-@click.option("--data", default=None,
-              help="Boundary-data JSON file (see the data-file schema).")
-@click.option("--alpha", type=float, default=None,
-              help="Optional; must match the data file.")
-@click.option("--n", type=int, default=None,
-              help="Optional; must match the data file.")
-@click.option("--y", type=float, default=None, help="Evaluation height, > 0.")
-@click.option("--origin", default=None, help="Output grid origin, n values.")
-@click.option("--spacing", type=float, default=None, help="Output grid spacing.")
-@click.option("--shape", default=None, help="Output grid shape, n integers.")
-@_common_options
-@_guard
-def extend_cmd(data, alpha, n, y, origin, spacing, shape, config_path, output,
-               fmt, workers):
+@_command(main, "extend")
+def extend_cmd(s):
     """Evaluate the extension u on a grid at one height."""
-    s = _settings("extend", config_path,
-                  {"data": data, "alpha": alpha, "n": n, "y": y,
-                   "origin": origin, "spacing": spacing, "shape": shape,
-                   "format": fmt, "output": output, "workers": workers})
     bdata, p = _load_data(s)
     grid = Grid(origin=_floats(s["origin"], "origin"),
                 spacing=float(s["spacing"]),
@@ -429,21 +455,9 @@ def extend_cmd(data, alpha, n, y, origin, spacing, shape, config_path, output,
 # --------------------------------------------------------------- converge
 
 
-@main.command("converge")
-@click.option("--data", default=None, help="Boundary-data JSON file.")
-@click.option("--alpha", type=float, default=None,
-              help="Optional; must match the data file.")
-@click.option("--n", type=int, default=None,
-              help="Optional; must match the data file.")
-@click.option("--y-list", "y_list", default=None,
-              help="Strictly decreasing heights, comma-separated.")
-@_common_options
-@_guard
-def converge_cmd(data, alpha, n, y_list, config_path, output, fmt, workers):
+@_command(main, "converge")
+def converge_cmd(s):
     """Weighted-L1 distance of the extension to its boundary data."""
-    s = _settings("converge", config_path,
-                  {"data": data, "alpha": alpha, "n": n, "y_list": y_list,
-                   "format": fmt, "output": output, "workers": workers})
     bdata, p = _load_data(s)
     ys = _floats(s["y_list"], "y-list")
     errors = boundary_convergence(bdata, p, list(ys))
@@ -463,18 +477,8 @@ def hitting_group():
     """Two-level hitting density and its semigroup identity."""
 
 
-@hitting_group.command("kernel")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension.")
-@click.option("--y", type=float, default=None, help="Start level.")
-@click.option("--eta", type=float, default=None, help="Absorbing level, 0 < eta < y.")
-@click.option("--r", default=None, help="Radii |x| >= 0, comma-separated.")
-@_common_options
-@_guard
-def hitting_kernel_cmd(alpha, n, y, eta, r, config_path, output, fmt, workers):
-    s = _settings("hitting kernel", config_path,
-                  {"alpha": alpha, "n": n, "y": y, "eta": eta, "r": r,
-                   "format": fmt, "output": output, "workers": workers})
+@_command(hitting_group, "kernel")
+def hitting_kernel_cmd(s):
     p = _params(s)
     lv = LevelPair(y=float(s["y"]), eta=float(s["eta"]))
     rows = [(radius, hitting_kernel(p, lv, radius))
@@ -486,25 +490,8 @@ def hitting_kernel_cmd(alpha, n, y, eta, r, config_path, output, fmt, workers):
           rows)
 
 
-@hitting_group.command("semigroup")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension.")
-@click.option("--y", type=float, default=None, help="Top level.")
-@click.option("--eta2", type=float, default=None, help="Middle level.")
-@click.option("--eta1", type=float, default=None, help="Bottom level.")
-@click.option("--origin", default=None, help="Check-grid origin, n values.")
-@click.option("--spacing", type=float, default=None, help="Check-grid spacing.")
-@click.option("--shape", default=None, help="Check-grid shape, n integers.")
-@click.option("--tol", type=float, default=None, help="Pass threshold on the deviation.")
-@_common_options
-@_guard
-def hitting_semigroup(alpha, n, y, eta2, eta1, origin, spacing, shape, tol,
-                      config_path, output, fmt, workers):
-    s = _settings("hitting semigroup", config_path,
-                  {"alpha": alpha, "n": n, "y": y, "eta2": eta2, "eta1": eta1,
-                   "origin": origin, "spacing": spacing, "shape": shape,
-                   "tol": tol, "format": fmt, "output": output,
-                   "workers": workers})
+@_command(hitting_group, "semigroup")
+def hitting_semigroup(s):
     p = _params(s)
     grid = Grid(origin=_floats(s["origin"], "origin"),
                 spacing=float(s["spacing"]),
@@ -536,26 +523,9 @@ def _dump_samples(path, run):
         fh.write(csv_document(header, rows))
 
 
-@simulate_group.command("boundary")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension (KS report needs 1).")
-@click.option("--y", type=float, default=None, help="Start height.")
-@click.option("--paths", type=int, default=None, help="Number of paths.")
-@click.option("--dt", type=float, default=None, help="Time step, <= 1e-2.")
-@click.option("--floor", type=float, default=None,
-              help="Stopping floor standing in for the boundary (default 1e-4*y).")
-@click.option("--seed", type=int, default=None, help="Master seed (GASP_SEED, then 0).")
-@click.option("--samples", "samples_path", type=click.Path(dir_okay=False),
-              default=None, help="Also dump the per-path samples to this CSV.")
-@_common_options
-@_guard
-def simulate_boundary(alpha, n, y, paths, dt, floor, seed, samples_path,
-                      config_path, output, fmt, workers):
+@_command(simulate_group, "boundary")
+def simulate_boundary(s):
     """Run to the boundary and KS-test X against the kernel law."""
-    s = _settings("simulate boundary", config_path,
-                  {"alpha": alpha, "n": n, "y": y, "paths": paths, "dt": dt,
-                   "floor": floor, "seed": seed, "samples": samples_path,
-                   "format": fmt, "output": output, "workers": workers})
     p = _params(s)
     cfg = SimConfig(p=p, start=HalfSpacePoint(x=(0.0,) * p.n, y=float(s["y"])),
                     dt=float(s["dt"]), y_stop=0.0, n_paths=int(s["paths"]),
@@ -568,26 +538,9 @@ def simulate_boundary(alpha, n, y, paths, dt, floor, seed, samples_path,
     _emit_report(s, report)
 
 
-@simulate_group.command("hitting")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension (KS report needs 1).")
-@click.option("--y", type=float, default=None, help="Start level.")
-@click.option("--eta", type=float, default=None, help="Absorbing level, 0 < eta < y.")
-@click.option("--paths", type=int, default=None, help="Number of paths.")
-@click.option("--dt", type=float, default=None, help="Time step, <= 1e-2.")
-@click.option("--seed", type=int, default=None, help="Master seed (GASP_SEED, then 0).")
-@click.option("--samples", "samples_path", type=click.Path(dir_okay=False),
-              default=None, help="Also dump the per-path samples to this CSV.")
-@_common_options
-@_guard
-def simulate_hitting(alpha, n, y, eta, paths, dt, seed, samples_path,
-                     config_path, output, fmt, workers):
+@_command(simulate_group, "hitting")
+def simulate_hitting(s):
     """Run to a positive level and KS-test X against the hitting law."""
-    s = _settings("simulate hitting", config_path,
-                  {"alpha": alpha, "n": n, "y": y, "eta": eta,
-                   "paths": paths, "dt": dt, "seed": seed,
-                   "samples": samples_path, "format": fmt, "output": output,
-                   "workers": workers})
     p = _params(s)
     lv = LevelPair(y=float(s["y"]), eta=float(s["eta"]))
     cfg = SimConfig(p=p, start=HalfSpacePoint(x=(0.0,) * p.n, y=lv.y),
@@ -608,22 +561,8 @@ def growth_group():
     """Hemisphere growth scans and the sharpness construction."""
 
 
-@growth_group.command("scan")
-@click.option("--data", default=None, help="Boundary-data JSON file (beta = 0 terms).")
-@click.option("--alpha", type=float, default=None,
-              help="Optional; must match the data file.")
-@click.option("--n", type=int, default=None,
-              help="Optional; must match the data file.")
-@click.option("--r", default=None, help="Radii, comma-separated, increasing.")
-@click.option("--theta-count", "theta_count", type=int, default=None,
-              help="Angular resolution of the scan.")
-@_common_options
-@_guard
-def growth_scan(data, alpha, n, r, theta_count, config_path, output, fmt, workers):
-    s = _settings("growth scan", config_path,
-                  {"data": data, "alpha": alpha, "n": n, "r": r,
-                   "theta_count": theta_count, "format": fmt,
-                   "output": output, "workers": workers})
+@_command(growth_group, "scan")
+def growth_scan(s):
     bdata, p = _load_data(s)
     scan = l1_data_scan(bdata, p, _floats(s["r"], "r"),
                         theta_count=int(s["theta_count"]))
@@ -638,24 +577,9 @@ def growth_scan(data, alpha, n, r, theta_count, config_path, output, fmt, worker
           rows)
 
 
-@growth_group.command("counterexample")
-@click.option("--alpha", type=float, default=None, help="Weight exponent, > -1.")
-@click.option("--n", type=int, default=None, help="Boundary dimension.")
-@click.option("--case", type=click.Choice(("subcritical", "critical")),
-              default=None, help="Exponent regime of the construction.")
-@click.option("--beta", type=float, default=None,
-              help="Radial exponent (subcritical only; implied on the critical line).")
-@click.option("--gamma", type=float, default=None, help="Height exponent.")
-@click.option("--k-max", "k_max", type=int, default=None, help="Bumps to track.")
-@_common_options
-@_guard
-def growth_counterexample(alpha, n, case, beta, gamma, k_max, config_path,
-                          output, fmt, workers):
+@_command(growth_group, "counterexample")
+def growth_counterexample(s):
     """Track the sharpness-construction ratios along the bump centres."""
-    s = _settings("growth counterexample", config_path,
-                  {"alpha": alpha, "n": n, "case": case, "beta": beta,
-                   "gamma": gamma, "k_max": k_max, "format": fmt,
-                   "output": output, "workers": workers})
     p = _params(s)
     if s["case"] == "subcritical":
         case_obj = SubcriticalCase(beta=float(s["beta"]), gamma=float(s["gamma"]))

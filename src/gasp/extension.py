@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import tanh_sinh
-from .boundary_data import BoundaryData, Grid, WeightedTerm
-from .kernel import MultiIndex, _derivative_terms, unit_sphere_area
+from .boundary_data import (BoundaryData, Grid, WeightedTerm, grid_points,
+                            radius_sq, trapezoid_weights)
+from .kernel import MultiIndex, kernel_deriv_eval, unit_sphere_area
 
 __all__ = [
     "ExtensionResult",
@@ -54,70 +55,25 @@ class ExtensionResult:
     notes: tuple = ()
 
 
-def _kernel_deriv_eval(p, components, diffs, y):
-    # (d/dx)^beta K_{alpha,y} on broadcastable offset arrays; the term
-    # table is shared with kernel.kernel_derivative
-    s0 = 0.5 * (p.alpha + p.n + 1.0)
-    table = _derivative_terms(p.n, s0, tuple(components))
-    big_s = y * y
-    for d in diffs:
-        big_s = big_s + d * d
-    out = 0.0
-    cur_k = None
-    cur_pow = None
-    for (expo, k), coef in sorted(table.items(), key=lambda t: t[0][1]):
-        if cur_k is None:
-            cur_pow = big_s ** (-(s0 + k))
-            cur_k = k
-        while cur_k < k:
-            cur_pow = cur_pow / big_s
-            cur_k += 1
-        piece = coef * cur_pow
-        for d, e in zip(diffs, expo):
-            if e:
-                piece = piece * d ** e
-        out = out + piece
-    return p.c_norm * y ** (p.alpha + 1.0) * out
+def _term_dense(p, components, y, points, in_axes, wf):
+    """Direct path: per output point, quadrature sum over the data lattice.
 
-
-def _trap_weights_from_coords(c):
-    # non-uniform trapezoid weights for sorted 1-D nodes
-    w = np.empty(c.size)
-    w[0] = 0.5 * (c[1] - c[0])
-    w[-1] = 0.5 * (c[-1] - c[-2])
-    if c.size > 2:
-        w[1:-1] = 0.5 * (c[2:] - c[:-2])
-    return w
-
-
-def _outer(axes):
-    out = np.array(1.0)
-    n = len(axes)
-    for i, a in enumerate(axes):
-        dims = [1] * n
-        dims[i] = a.size
-        out = out * a.reshape(dims)
-    return out
-
-
-def _term_dense(p, components, y, out_axes, in_axes, in_weights, in_values):
-    """Direct path: per output point, quadrature sum over the data lattice."""
-    n = len(out_axes)
-    mesh = np.meshgrid(*in_axes, indexing="ij")
-    nodes = [m.reshape(-1) for m in mesh]
-    wf = (in_values * _outer(in_weights)).reshape(-1)
-    pts = np.stack(np.meshgrid(*out_axes, indexing="ij"), axis=-1)
-    out_shape = pts.shape[:-1]
-    pts = pts.reshape(-1, n)
-    total = pts.shape[0]
-    out = np.empty(total)
+    ``points`` is an (n, N) array of output points, one coordinate per
+    row as grid_points gives them, and ``wf`` the data samples times
+    their quadrature weights on the lattice of ``in_axes``.
+    """
+    nodes = grid_points(in_axes)
+    wf = wf.reshape(-1)
+    out = np.empty(points.shape[1])
     chunk = max(1, 2_000_000 // max(wf.size, 1))
-    for s in range(0, total, chunk):
-        blk = pts[s:s + chunk]
-        diffs = [blk[:, i:i + 1] - nodes[i][None, :] for i in range(n)]
-        kv = _kernel_deriv_eval(p, components, diffs, y)
+    for s in range(0, points.shape[1], chunk):
+        diffs = [points[i, s:s + chunk, None] - nodes[i] for i in range(p.n)]
+        # kv stays bound until the next chunk is allocated, so the allocator
+        # reuses its block instead of returning it and faulting in fresh
+        # pages (a fifth of this loop's time when inlined)
+        kv = kernel_deriv_eval(p, components, diffs, y)
         out[s:s + chunk] = kv @ wf
-    return out.reshape(out_shape)
+    return out
 
 
 def _lattice_match(out_grid, in_grid):
@@ -147,12 +103,7 @@ def _term_fft(p, term, y, out_grid, m, q, wf_grid):
         t_min = q[i] - (b_i - 1)
         length = (b_i - 1) + m * (a_i - 1) + 1
         offs.append(si * np.arange(t_min, t_min + length))
-    diffs = []
-    for i, o in enumerate(offs):
-        dims = [1] * n
-        dims[i] = o.size
-        diffs.append(o.reshape(dims))
-    table = _kernel_deriv_eval(p, term.beta.components, diffs, y)
+    table = kernel_deriv_eval(p, term.beta.components, np.ix_(*offs), y)
     conv_shape = tuple(wf_grid.shape[i] + offs[i].size - 1 for i in range(n))
     axes = tuple(range(n))
     spec = np.fft.rfftn(wf_grid, conv_shape, axes) \
@@ -165,26 +116,17 @@ def _term_fft(p, term, y, out_grid, m, q, wf_grid):
     return conv[sl]
 
 
-def _term_axes(term):
-    coords = [term.grid.axis_coords(i) for i in range(term.n)]
-    weights = [_trap_weights_from_coords(c) for c in coords]
-    return coords, weights
+def _term_weighted(term):
+    # the term's lattice and its samples times the trapezoid weights
+    coords = term.grid.coords
+    return coords, term.values_grid * trapezoid_weights(coords)
 
 
-def _coarse_axes(term):
+def _coarse_weighted(term):
     # every other sample, endpoint kept; exact halving when shapes are odd
-    coords = []
-    weights = []
-    picks = []
-    for i in range(term.n):
-        b = term.grid.shape[i]
-        idx = list(range(0, b - 1, 2)) + [b - 1]
-        c = term.grid.axis_coords(i)[idx]
-        coords.append(c)
-        weights.append(_trap_weights_from_coords(c))
-        picks.append(idx)
-    sub = term.values_grid[np.ix_(*picks)]
-    return coords, weights, sub
+    picks = [list(range(0, b - 1, 2)) + [b - 1] for b in term.grid.shape]
+    coords = [c[idx] for c, idx in zip(term.grid.coords, picks)]
+    return coords, term.values_grid[np.ix_(*picks)] * trapezoid_weights(coords)
 
 
 def _check_dims(data, p):
@@ -216,11 +158,9 @@ def extend_point(data, p, pt):
                          % (pt.n, p.n))
     total = 0.0
     for term in data.terms:
-        coords, weights = _term_axes(term)
-        out_axes = [np.array([xi]) for xi in pt.x]
-        val = _term_dense(p, term.beta.components, pt.y, out_axes,
-                          coords, weights, term.values_grid)
-        total += float(val.reshape(-1)[0])
+        total += float(_term_dense(p, term.beta.components, pt.y,
+                                   np.array(pt.x)[:, None],
+                                   *_term_weighted(term))[0])
     return total
 
 
@@ -253,8 +193,8 @@ def extend_grid(data, p, y, out_grid):
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("y must be finite and > 0, got %r" % (y,))
 
-    out_axes = [out_grid.axis_coords(i) for i in range(out_grid.n)]
-    n_out = int(np.prod(out_grid.shape))
+    out_pts = grid_points(out_grid.coords)
+    n_out = out_pts.shape[1]
     values = np.zeros(out_grid.shape)
     notes = []
     for i, term in enumerate(data.terms):
@@ -264,18 +204,16 @@ def extend_grid(data, p, y, out_grid):
                                                   0.25 * y))
         match = _lattice_match(out_grid, term.grid)
         work = n_out * term.values.size
+        coords, wf = _term_weighted(term)
         if match is not None and work >= _FFT_MIN_WORK:
-            coords, weights = _term_axes(term)
-            wf = term.values_grid * _outer(weights)
             m, q = match
             values += _term_fft(p, term, y, out_grid, m, q, wf)
         else:
             if match is None and work >= _FFT_MIN_WORK:
                 notes.append("terms[%d]: output grid incommensurate with "
                              "data grid, direct path" % i)
-            coords, weights = _term_axes(term)
-            values += _term_dense(p, term.beta.components, y, out_axes,
-                                  coords, weights, term.values_grid)
+            values += _term_dense(p, term.beta.components, y, out_pts,
+                                  coords, wf).reshape(out_grid.shape)
 
     # Richardson-style estimate against the half-resolution data lattice,
     # on a sample of output points when the grid is large
@@ -286,17 +224,10 @@ def extend_grid(data, p, y, out_grid):
                      % (flat_idx.size, n_out))
     else:
         flat_idx = np.arange(n_out)
-    sample_pts = np.unravel_index(flat_idx, out_grid.shape)
-    sample_axes = [out_axes[i][sample_pts[i]] for i in range(out_grid.n)]
     coarse = np.zeros(flat_idx.size)
     for term in data.terms:
-        c_coords, c_weights, c_vals = _coarse_axes(term)
-        for j in range(flat_idx.size):
-            pt_axes = [np.array([sample_axes[i][j]])
-                       for i in range(out_grid.n)]
-            v = _term_dense(p, term.beta.components, y, pt_axes,
-                            c_coords, c_weights, c_vals)
-            coarse[j] += float(v.reshape(-1)[0])
+        coarse += _term_dense(p, term.beta.components, y, out_pts[:, flat_idx],
+                              *_coarse_weighted(term))
     fine = values.reshape(-1)[flat_idx]
     estimate = float(np.max(np.abs(fine - coarse))) / 3.0 if data.terms \
         else 0.0
@@ -403,13 +334,13 @@ def boundary_convergence(data, p, y_list):
         lo.append(a - k_lo * spacing)
         shape.append(int(math.ceil((b + margin - lo[-1]) / spacing)) + 1)
     eval_grid = Grid(origin=tuple(lo), spacing=spacing, shape=tuple(shape))
-    axes = [eval_grid.axis_coords(i) for i in range(p.n)]
+    axes = eval_grid.coords
 
     f_vals = np.zeros(eval_grid.shape)
     for term in data.terms:
         f_vals += _interp_term(term, axes)
-    w_inv = (1.0 + _radius_sq(axes)) ** (-0.5 * p.mu)
-    trap = _outer([_trap_weights_from_coords(c) for c in axes])
+    w_inv = (1.0 + radius_sq(axes)) ** (-0.5 * p.mu)
+    trap = trapezoid_weights(axes)
 
     # analytic tail pieces: sup of w^-1 outside the window, total data mass
     d_min = math.inf
@@ -420,9 +351,9 @@ def boundary_convergence(data, p, y_list):
         else:
             d_min = 0.0
     w_sup = (1.0 + d_min * d_min) ** (-0.5 * p.mu)
-    mass = sum(float(np.sum(np.abs(t.values_grid) * _outer(
-        [_trap_weights_from_coords(t.grid.axis_coords(i))
-         for i in range(p.n)]))) for t in data.terms)
+    mass = sum(float(np.sum(np.abs(t.values_grid)
+                            * trapezoid_weights(t.grid.coords)))
+               for t in data.terms)
 
     out = []
     for y in ys:
@@ -430,15 +361,6 @@ def boundary_convergence(data, p, y_list):
         err = float(np.sum(np.abs(u - f_vals) * w_inv * trap))
         tail = _kernel_tail_mass(p, math.atan2(margin, y)) * w_sup * mass
         out.append(err + tail)
-    return out
-
-
-def _radius_sq(axes):
-    out = np.zeros(tuple(a.size for a in axes))
-    for i, a in enumerate(axes):
-        dims = [1] * len(axes)
-        dims[i] = a.size
-        out = out + (a * a).reshape(dims)
     return out
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import tanh_sinh
-from .boundary_data import BoundaryData, case_exponents
+from .boundary_data import (BoundaryData, case_exponents, radius_sq,
+                            trapezoid_weights)
 from .extension import extend_point
 from .kernel import HalfSpacePoint, ModelParams, unit_sphere_area
 from .special_functions import EvalAccuracy
@@ -122,8 +123,6 @@ def far_field_integral(p: ModelParams, data: BoundaryData, r):
     the data support, M(r) <= c_norm * 8^{mu/2} * I(r), and I(r) -> 0.
     Trapezoid over each term grid, like the weighted norms.
     """
-    from .boundary_data import _grid_radius_sq, _trapezoid_apply
-
     r = float(r)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be positive and finite, got {r}")
@@ -131,9 +130,10 @@ def far_field_integral(p: ModelParams, data: BoundaryData, r):
         raise ValueError("far-field integral applies to function-type data")
     total = 0.0
     for term in data.terms:
-        kern = (_grid_radius_sq(term.grid) + r * r) ** (-0.5 * p.mu)
-        integ = _trapezoid_apply(np.abs(term.values_grid) * kern, term.grid)
-        total += float(np.sum(integ)) * term.grid.spacing**term.n
+        coords = term.grid.coords
+        kern = (radius_sq(coords) + r * r) ** (-0.5 * p.mu)
+        total += float(np.sum(np.abs(term.values_grid) * kern
+                              * trapezoid_weights(coords)))
     return total
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._quadrature import panel_integrate, tanh_sinh
 from .hitting import LevelPair, hitting_kernel
-from .kernel import HalfSpacePoint, ModelParams
+from .kernel import HalfSpacePoint, ModelParams, kernel_profile
 from .special_functions import EvalAccuracy
 
 _CHUNK = 4096  # steps drawn per RNG call once past the sized first block
@@ -336,8 +336,7 @@ def _ks_threshold(n_paths):
     return 1.95 / math.sqrt(n_paths) + 5e-3
 
 
-def validate_boundary_law(cfg: SimConfig, acc=EvalAccuracy(), workers=1,
-                          samples=None):
+def validate_boundary_law(cfg: SimConfig, workers=1, samples=None):
     """KS test of the stopped X law against the boundary kernel (n = 1).
 
     Boundary mode only.  The allowance for stopping at y_floor instead of
@@ -360,11 +359,7 @@ def validate_boundary_law(cfg: SimConfig, acc=EvalAccuracy(), workers=1,
         # through the kernel's maximum slope
         var_rem = cfg.y_floor**2 / (2.0 * cfg.mu - 2.0)
         grid = np.linspace(-6.0 * cfg.start.y, 6.0 * cfg.start.y, 4001)
-        dens = (
-            cfg.p.c_norm
-            * cfg.start.y ** (cfg.p.alpha + 1.0)
-            / (grid**2 + cfg.start.y**2) ** (0.5 * cfg.p.mu)
-        )
+        dens = kernel_profile(cfg.p, grid, cfg.start.y)
         slope = float(np.max(np.abs(np.gradient(dens, grid))))
         floor_allowance = 0.5 * var_rem * slope
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import exp_sinh
-from .boundary_data import Grid
+from .boundary_data import Grid, radius_sq
 from .kernel import ModelParams, unit_sphere_area
 from .special_functions import EvalAccuracy, log_bessel_k
 from .spectral import ExponentialDecay, RadialProfile, hankel_transform
@@ -164,12 +164,6 @@ def _radial_table(p, levels, radii, acc):
     return vals[inverse].reshape(np.shape(radii))
 
 
-def _grid_points(grid):
-    axes = [grid.axis_coords(a) for a in range(grid.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def semigroup_check(
     p: ModelParams, y, eta2, eta1, grid: Grid, acc=EvalAccuracy(rel_tol=1e-8)
 ):
@@ -206,21 +200,15 @@ def semigroup_check(
     upper = LevelPair(y=y, eta=eta2)
     lower = LevelPair(y=eta2, eta=eta1)
 
-    pts = _grid_points(grid)
-    direct = _radial_table(
-        p, full, np.sqrt(np.sum(pts**2, axis=1)).reshape(grid.shape), acc
-    )
-    lower_vals = _radial_table(
-        p, lower, np.sqrt(np.sum(pts**2, axis=1)).reshape(grid.shape), acc
-    )
+    radii = np.sqrt(radius_sq(grid.coords))
+    direct = _radial_table(p, full, radii, acc)
+    lower_vals = _radial_table(p, lower, radii, acc)
 
     # Upper factor on the difference lattice of the grid with itself.
     diff_axes = [
         grid.spacing * np.arange(-(m - 1), m, dtype=float) for m in grid.shape
     ]
-    mesh = np.meshgrid(*diff_axes, indexing="ij")
-    diff_radii = np.sqrt(sum(m**2 for m in mesh))
-    upper_vals = _radial_table(p, upper, diff_radii, acc)
+    upper_vals = _radial_table(p, upper, np.sqrt(radius_sq(diff_axes)), acc)
 
     n = grid.n
     conv_shape = tuple(g + d - 1 for g, d in zip(grid.shape, upper_vals.shape))

@@ -27,7 +27,7 @@ from .special_functions import EvalAccuracy, gamma_fn
 __all__ = [
     "ModelParams", "HalfSpacePoint", "MultiIndex", "unit_sphere_area",
     "poisson_kernel", "kernel_profile", "kernel_mass", "kernel_derivative",
-    "dalpha_residual",
+    "kernel_deriv_eval", "dalpha_residual",
 ]
 
 
@@ -127,17 +127,13 @@ def kernel_profile(p, r, y):
     y = float(y)
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("y must be finite and > 0, got %r" % (y,))
-    r = np.asarray(r, dtype=float)
-    s = 0.5 * (p.alpha + p.n + 1.0)
-    return p.c_norm * y ** (p.alpha + 1.0) * (r * r + y * y) ** (-s)
+    return kernel_deriv_eval(p, (0,) * p.n, (np.asarray(r, dtype=float),), y)
 
 
 def poisson_kernel(p, pt):
     """K_{alpha,y}(x) at a single half-space point."""
     _check_point(p, pt)
-    r2 = sum(v * v for v in pt.x)
-    s = 0.5 * (p.alpha + p.n + 1.0)
-    return p.c_norm * pt.y ** (p.alpha + 1.0) * (r2 + pt.y * pt.y) ** (-s)
+    return kernel_deriv_eval(p, (0,) * p.n, pt.x, pt.y)
 
 
 def kernel_mass(p, y, acc=EvalAccuracy()):
@@ -199,6 +195,38 @@ def _derivative_terms(n, s0, components):
     return terms
 
 
+def kernel_deriv_eval(p, components, diffs, y):
+    """(d/dx)^beta K_{alpha,y} at the offsets x = diffs; no input checks.
+
+    ``diffs`` holds one offset per axis, as floats or broadcastable
+    arrays. For beta = 0 only the sum of their squares enters, so a
+    radius may stand in for the whole offset. The checked entry points
+    (poisson_kernel, kernel_profile, kernel_derivative) and the extension
+    all evaluate the kernel here.
+    """
+    s0 = 0.5 * (p.alpha + p.n + 1.0)
+    table = _derivative_terms(p.n, s0, tuple(components))
+    big_s = y * y
+    for d in diffs:
+        big_s = big_s + d * d
+    out = 0.0
+    cur_k = None
+    cur_pow = None
+    for (expo, k), coef in sorted(table.items(), key=lambda t: t[0][1]):
+        if cur_k is None:
+            cur_pow = big_s ** (-(s0 + k))
+            cur_k = k
+        while cur_k < k:
+            cur_pow = cur_pow / big_s
+            cur_k += 1
+        piece = coef * cur_pow
+        for d, e in zip(diffs, expo):
+            if e:
+                piece = piece * d ** e
+        out = out + piece
+    return p.c_norm * y ** (p.alpha + 1.0) * out
+
+
 def kernel_derivative(p, beta, pt):
     """Exact spatial derivative (d/dx)^beta K_{alpha,y}(x).
 
@@ -210,20 +238,7 @@ def kernel_derivative(p, beta, pt):
     if len(beta.components) != p.n:
         raise ValueError("multi-index has length %d, expected %d"
                          % (len(beta.components), p.n))
-    if beta.order == 0:
-        return poisson_kernel(p, pt)
-    s0 = 0.5 * (p.alpha + p.n + 1.0)
-    terms = _derivative_terms(p.n, s0, beta.components)
-    x = np.asarray(pt.x)
-    big_s = float(np.dot(x, x)) + pt.y * pt.y
-    total = 0.0
-    for (expo, k), coef in terms.items():
-        mono = 1.0
-        for xi, e in zip(x, expo):
-            if e:
-                mono *= xi ** e
-        total += coef * mono * big_s ** (-(s0 + k))
-    return p.c_norm * pt.y ** (p.alpha + 1.0) * total
+    return kernel_deriv_eval(p, beta.components, pt.x, pt.y)
 
 
 def dalpha_residual(u, p, pt, h=None):

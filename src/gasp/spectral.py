@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import (
-    QuadratureError,
-    exp_sinh,
-    integrate_lobes,
-    integrate_lobes_rows,
-    tanh_sinh,
-)
-from .kernel import kernel_mass, kernel_profile
+from ._quadrature import QuadratureError, exp_sinh, integrate_lobes_rows, tanh_sinh
+from .kernel import kernel_deriv_eval, kernel_mass, kernel_profile
 from .special_functions import EvalAccuracy, bessel_j, gamma_fn, phi_nu
 
 __all__ = [
@@ -135,7 +129,7 @@ def hankel_transform(profile, n, r, acc=EvalAccuracy()):
         feature = 1.0
 
     def integrand(s):
-        return f(s) * s ** (0.5 * n) * bessel_j(nu_j, r * s)
+        return (f(s) * s ** (0.5 * n) * bessel_j(nu_j, r * s))[None, :]
 
     def edges():
         gen = _bessel_zero_gen(nu_j)
@@ -147,8 +141,8 @@ def hankel_transform(profile, n, r, acc=EvalAccuracy()):
         for z in gen:
             yield z / r
 
-    value, _err = integrate_lobes(integrand, edges(), rel_tol=0.1 * tol)
-    return (2.0 * math.pi) ** (0.5 * n) * r ** (0.5 * (2.0 - n)) * value
+    value, _err = integrate_lobes_rows(integrand, edges(), rel_tol=0.1 * tol)
+    return (2.0 * math.pi) ** (0.5 * n) * r ** (0.5 * (2.0 - n)) * value[0]
 
 
 def ft_closed_form(p, y, xi_norm):
@@ -241,8 +235,7 @@ def _inner_over_x2(p, y, x1, xi2, tol):
             * w2 ** (0.5 - s0) + 0.0j
 
     def prof(x2):
-        rsq = x1[:, None] ** 2 + x2[None, :] ** 2
-        return p.c_norm * y ** (p.alpha + 1.0) * (rsq + y * y) ** (-s0)
+        return kernel_deriv_eval(p, (0,) * p.n, (x1[:, None], x2[None, :]), y)
 
     plus = _half_line_complex(prof, xi2, tol, feature=y)
     minus = _half_line_complex(prof, -xi2, tol, feature=y)

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -19,7 +21,7 @@ from gasp import (
     save_data,
 )
 from gasp._quadrature import QuadratureError
-from gasp.cli import main
+from gasp.cli import _DEFAULTS, main
 
 
 @pytest.fixture
@@ -289,6 +291,82 @@ def test_nonconvergence_exits_3(runner, monkeypatch):
     assert result.exit_code == 3
     doc = _stderr_doc(result)
     assert doc["error"] == "nonconvergence"
+
+
+def test_overflow_exits_3_with_json_error(runner):
+    # the kernel normalization overflows doubles above alpha of about 340
+    result = runner.invoke(main, ["kernel", "mass", "--alpha", "400", "--n", "1"])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    assert _stderr_doc(result)["error"] == "overflow"
+
+
+# one value per parameter of every subcommand, cheap to run; {data} and
+# {samples} stand for a boundary-data file and a sample dump
+_TABLE_ARGS = {
+    "kernel eval": {"alpha": "1.5", "n": "2", "x": "0.3,0.4", "y": "0.7"},
+    "kernel mass": {"alpha": "1.5", "n": "2", "y": "0.7"},
+    "kernel residual": {"alpha": "1.5", "n": "2", "x": "0.3,0.4", "y": "0.7",
+                        "h": "0.005"},
+    "fourier compare": {"alpha": "1", "n": "1", "y": "1.5", "xi": "0.5"},
+    "extend": {"data": "{data}", "alpha": "0", "n": "1", "y": "0.5",
+               "origin": "-2", "spacing": "1", "shape": "5"},
+    "converge": {"data": "{data}", "alpha": "0", "n": "1", "y_list": "1,0.5"},
+    "hitting kernel": {"alpha": "0", "n": "1", "y": "2", "eta": "1", "r": "1"},
+    "hitting semigroup": {"alpha": "0", "n": "1", "y": "3", "eta2": "2",
+                          "eta1": "1", "origin": "-1", "spacing": "1",
+                          "shape": "3", "tol": "0.5"},
+    "simulate boundary": {"alpha": "2", "n": "1", "y": "1.5", "paths": "20",
+                          "dt": "0.01", "floor": "0.01", "seed": "3",
+                          "samples": "{samples}"},
+    "simulate hitting": {"alpha": "0", "n": "1", "y": "2.5", "eta": "1.5",
+                         "paths": "20", "dt": "0.01", "seed": "5",
+                         "samples": "{samples}"},
+    "growth scan": {"data": "{data}", "alpha": "0", "n": "1", "r": "4,8",
+                    "theta_count": "16"},
+    "growth counterexample": {"alpha": "0", "n": "1", "case": "critical",
+                              "beta": "0.5", "gamma": "0.5", "k_max": "6"},
+}
+
+
+def _cauchy_hitting_cdf(p, lv, acc):
+    # the exact n = 1, alpha = 0 hitting law, in place of the quadrature
+    # table that takes seconds to build
+    assert p.alpha == 0.0 and p.n == 1
+    return lambda x: 0.5 + np.arctan(np.asarray(x) / lv.gap) / math.pi
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_every_table_parameter_reaches_its_command(command, runner, tent_file,
+                                                   tmp_path, monkeypatch):
+    monkeypatch.setattr("gasp.hbm_sim.hitting_cdf", _cauchy_hitting_cdf)
+    table = _DEFAULTS[command]
+    args = {k: v.format(data=tent_file, samples=str(tmp_path / "samples.csv"))
+            for k, v in _TABLE_ARGS[command].items()}
+    assert set(args) == set(table)
+    words = command.split()
+    helped = set(re.findall(r"--[\w-]+", runner.invoke(main, words + ["--help"]).output))
+    assert "--workers" in helped
+
+    def run(flags, config):
+        argv = list(words)
+        for key, value in flags.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        doc = tmp_path / "doc"
+        result = runner.invoke(main, argv + ["--config", str(cfg), "--workers", "2",
+                                             "--output", str(doc)])
+        assert result.exit_code == 0, result.output + result.stderr
+        return result.stdout, doc.read_bytes()
+
+    want = run(args, {})
+    for key, spec in table.items():
+        assert "--" + key.replace("_", "-") in helped, key
+        value = click.types.convert_type(spec.type).convert(args[key], None, None)
+        rest = {k: v for k, v in args.items() if k != key}
+        assert run(rest, {key: value}) == want, key
 
 
 def test_help_lists_every_subcommand(runner):
