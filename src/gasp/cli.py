@@ -5,28 +5,10 @@ JSON error object on stderr; 3 on numerical nonconvergence or overflow,
 same shape.
 
 Parameter precedence: explicit flags override values from ``--config`` (a
-JSON object keyed by the parameter names below, hyphens spelled as
-underscores), which override the defaults.  ``_DEFAULTS`` declares every
-parameter once, with its type and help line, and the options of each
-subcommand are generated from it ("-" marks a required parameter, auto =
-computed at run time):
-
-    kernel eval            alpha=-  n=-  x=-  y=1
-    kernel mass            alpha=-  n=-  y=1
-    kernel residual        alpha=-  n=-  x=-  y=1  h=auto
-    fourier compare        alpha=-  n=-  y=1  xi=-
-    extend                 data=-  y=-  origin=-  spacing=-  shape=-
-    converge               data=-  y_list=1,0.25,0.0625,0.015625
-    hitting kernel         alpha=-  n=-  y=-  eta=-  r=-
-    hitting semigroup      alpha=-  n=-  y=-  eta2=-  eta1=-  origin=-
-                           spacing=-  shape=-  tol=1e-3
-    simulate boundary      alpha=-  n=1  y=1  paths=-  dt=1e-3  floor=auto
-                           seed=GASP_SEED/0  samples=off
-    simulate hitting       alpha=-  n=1  y=2  eta=1  paths=-  dt=1e-3
-                           seed=GASP_SEED/0  samples=off
-    growth scan            data=-  r=-  theta_count=64
-    growth counterexample  alpha=-  n=-  case=subcritical  beta=0  gamma=0
-                           k_max=10
+JSON object keyed by the parameter names, hyphens spelled as underscores),
+which override the defaults.  ``_DEFAULTS`` declares every parameter once,
+with its default, type and help line, and the options of each subcommand
+are generated from it; ``gasp <command> --help`` lists them.
 
 Every subcommand also accepts ``--config``, ``--output`` (primary document
 to a file instead of stdout), ``--format {json,csv}`` (default json for
@@ -308,6 +290,14 @@ _COMMON_OPTIONS = (
 )
 
 
+def _help_line(spec):
+    if spec.default is _REQ:
+        return spec.help + "  [required]"
+    if spec.default is None:
+        return spec.help
+    return "%s  [default: %s]" % (spec.help, spec.default)
+
+
 def _command(group, name):
     """Register ``handler(settings)`` as a subcommand of ``group``.
 
@@ -327,7 +317,7 @@ def _command(group, name):
         for param, spec in reversed(_DEFAULTS[key].items()):
             cmd = click.option("--" + param.replace("_", "-"), param,
                                type=spec.type, default=None,
-                               help=spec.help)(cmd)
+                               help=_help_line(spec))(cmd)
         return group.command(name)(cmd)
     return register
 

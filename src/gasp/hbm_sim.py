@@ -287,8 +287,9 @@ def hitting_cdf(p: ModelParams, lv: LevelPair, acc=EvalAccuracy(rel_tol=1e-8)):
     """CDF evaluator for the n=1 hitting density, by quadrature.
 
     Builds a cumulative table of the (symmetric) density on panels out to
-    60 gap lengths and fits a power tail to cover the rest; evaluation is
-    linear interpolation in the table plus the analytic tail.
+    60 gap lengths and covers the rest with the power tail C r^-(alpha+2)
+    through the last table density; evaluation is linear interpolation in
+    the table plus that tail.
     """
     if p.n != 1:
         raise ValueError("hitting CDF evaluator is one-dimensional")
@@ -296,23 +297,17 @@ def hitting_cdf(p: ModelParams, lv: LevelPair, acc=EvalAccuracy(rel_tol=1e-8)):
     edges = np.concatenate(
         [np.linspace(0.0, 4.0 * g, 33), np.geomspace(4.0 * g, 60.0 * g, 33)[1:]]
     )
-    dens = {}
-
-    def dens_at(r):
-        if r not in dens:
-            dens[r] = hitting_kernel(p, lv, r, acc)
-        return dens[r]
-
     pieces = panel_integrate(
-        lambda r: np.array([dens_at(float(t)) for t in np.atleast_1d(r)]),
+        lambda r: np.array([hitting_kernel(p, lv, float(t), acc) for t in r]),
         edges,
         order=4,
     )
     cum = np.concatenate([[0.0], np.cumsum(pieces)])  # int_0^edge
     r_max = edges[-1]
-    g_half = dens_at(r_max / 2.0)
-    g_end = dens_at(r_max)
-    p_exp = math.log(g_half / g_end) / math.log(2.0)
+    g_end = hitting_kernel(p, lv, r_max, acc)
+    # G(r) ~ C r^-(alpha+n+1) with n = 1, from the s^(2 nu) term of the
+    # Bessel quotient
+    p_exp = p.alpha + 2.0
     tail_mass = g_end * r_max / (p_exp - 1.0)  # int_{r_max}^inf C r^{-p} dr
 
     def cdf(xs):

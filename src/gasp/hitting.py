@@ -75,7 +75,9 @@ def hitting_ft(p: ModelParams, levels: LevelPair, xi_norm):
     quotient survives arguments far beyond the underflow point of K_nu
     itself.  For ``s`` so large that even the log-space difference drops
     below -745 the result underflows to an exact 0.0, which is the correct
-    double rounding of the true value.
+    double rounding of the true value.  At the other end, where ``eta s``
+    falls below the normal double range, the two-term small-argument form
+    of K_nu is used instead, so subnormal ``s`` stays in (0, 1] as well.
     """
     xi = np.asarray(xi_norm, dtype=float)
     if xi.size and (not np.all(np.isfinite(xi)) or np.any(xi < 0)):
@@ -84,13 +86,19 @@ def hitting_ft(p: ModelParams, levels: LevelPair, xi_norm):
     xi = np.atleast_1d(xi)
 
     out = np.ones_like(xi)
-    mask = xi > 0
+    # below the normal range eta*s loses bits to rounding, down to an exact 0
+    # that log_bessel_k rejects; there the small-argument form is exact
+    tiny = (xi > 0) & (levels.eta * xi < np.finfo(float).tiny)
+    if np.any(tiny):
+        out[tiny] = _small_arg_ft(p.nu, levels, xi[tiny])
+    mask = (xi > 0) & ~tiny
     if np.any(mask):
         s = xi[mask]
+        log_k = log_bessel_k(p.nu, np.concatenate([levels.y * s, levels.eta * s]))
         lg = (
             p.nu * (math.log(levels.y) - math.log(levels.eta))
-            + log_bessel_k(p.nu, levels.y * s)
-            - log_bessel_k(p.nu, levels.eta * s)
+            + log_k[: s.size]
+            - log_k[s.size :]
         )
         with np.errstate(under="ignore"):
             # the quotient is mathematically <= 1; log-space roundoff can
@@ -99,12 +107,31 @@ def hitting_ft(p: ModelParams, levels: LevelPair, xi_norm):
     return out.item() if scalar else out
 
 
+def _small_arg_ft(nu, levels, s):
+    # For z below 1e-150, K_nu(z) = Gamma(nu)/2 (z/2)^-nu (1 - r(z)) to double
+    # precision, r(z) = Gamma(1-nu)/Gamma(1+nu) (z/2)^{2nu} for nu < 1 and
+    # r = 0 for nu >= 1. The (y/eta)^nu prefactor cancels the leading powers,
+    # leaving the quotient (1 - r(ys)) / (1 - r(eta s)).
+    if nu >= 1.0:
+        return np.ones_like(s)
+    c = math.lgamma(1.0 - nu) - math.lgamma(1.0 + nu)
+    log_half_s = np.log(s) - math.log(2.0)
+    one_minus_r_y = -np.expm1(c + 2.0 * nu * (math.log(levels.y) + log_half_s))
+    one_minus_r_eta = -np.expm1(c + 2.0 * nu * (math.log(levels.eta) + log_half_s))
+    return np.minimum(one_minus_r_y / one_minus_r_eta, 1.0)
+
+
 def _ft_profile(p, levels):
     # K_nu(ys)/K_nu(eta s) ~ (eta/y)^{1/2} e^{-(y-eta)s} for large s, so the
-    # quotient belongs to the exponential decay class with rate = gap.
+    # quotient belongs to the exponential decay class with rate = gap. For
+    # nu >= 1/2, sqrt(x) e^x K_nu(x) decreases, which bounds the quotient by
+    # (y/eta)^(nu-1/2) e^{-gap s} at every s; for nu < 1/2 it is at most 1.
     return RadialProfile(
         eval=lambda s: hitting_ft(p, levels, s),
-        decay_class=ExponentialDecay(rate=levels.gap),
+        decay_class=ExponentialDecay(
+            rate=levels.gap,
+            amplitude=(levels.y / levels.eta) ** max(p.nu - 0.5, 0.0),
+        ),
     )
 
 

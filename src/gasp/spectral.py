@@ -41,7 +41,10 @@ class PolynomialDecay:
 
 @dataclass(frozen=True)
 class ExponentialDecay:
+    """Tail |f(s)| <= amplitude * e^{-rate s}; amplitude is a known bound."""
+
     rate: float
+    amplitude: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,9 @@ class RadialProfile:
 
     The declared decay is spot-checked at construction: a profile whose
     samples outrun its own tail bound would silently break the oscillatory
-    quadrature's stopping rule, so it is rejected up front.
+    quadrature's stopping rule, so it is rejected up front. The bound's
+    constant is set by the samples at s = 2 and 4, or by a larger declared
+    exponential amplitude (a prefactor only the far tail shows).
     """
 
     eval: object
@@ -68,6 +73,8 @@ class RadialProfile:
         if ref == 0.0:
             return
         c = ref / min(tail(2.0), tail(4.0))
+        if isinstance(self.decay_class, ExponentialDecay):
+            c = max(c, self.decay_class.amplitude)
         for s in (8.0, 32.0, 128.0):
             if abs(float(self.eval(s))) > 100.0 * c * tail(s) + 1e-300:
                 raise ValueError(
@@ -82,18 +89,12 @@ def kernel_radial_profile(p, y=1.0):
         decay_class=PolynomialDecay(p.alpha + p.n + 1.0))
 
 
-def _bessel_zero_gen(nu, spacing=None):
-    """McMahon zeros of J_nu, or plain multiples when spacing is given.
+def _bessel_zero_gen(nu):
+    """McMahon zeros of J_nu, preceded by 0.
 
     Lobe boundaries only need to straddle sign changes, so the three-term
     McMahon expansion (error O(k^-5)) is plenty.
     """
-    if spacing is not None:
-        k = 0
-        while True:
-            yield k * spacing
-            k += 1
-        return
     mu = 4.0 * nu * nu
     yield 0.0
     k = 1

@@ -21,7 +21,7 @@ from gasp import (
     save_data,
 )
 from gasp._quadrature import QuadratureError
-from gasp.cli import _DEFAULTS, main
+from gasp.cli import _DEFAULTS, _REQ, main
 
 
 @pytest.fixture
@@ -187,6 +187,20 @@ def test_hitting_kernel_csv_matches_cauchy(runner):
         assert abs(g - 1.0 / (math.pi * (1.0 + r * r))) < 1e-6
 
 
+def test_hitting_kernel_large_alpha_exits_0(runner):
+    # nu = 15.5: the quotient's tail carries a (y/eta)^(nu-1/2) prefactor
+    # that its samples at small frequency do not show
+    result = runner.invoke(main, ["hitting", "kernel", "--alpha", "30",
+                                  "--n", "1", "--y", "2", "--eta", "1",
+                                  "--r", "0,0.5,2"])
+    assert result.exit_code == 0, result.output
+    rows = [tuple(map(float, line.split(",")))
+            for line in result.output.strip().splitlines()[1:]]
+    assert [r for r, _ in rows] == [0.0, 0.5, 2.0]
+    g = [v for _, v in rows]
+    assert g[0] > g[1] > g[2] > 0.0
+
+
 def test_hitting_semigroup_report(runner):
     result = runner.invoke(main, ["hitting", "semigroup", "--alpha", "0",
                                   "--n", "1", "--y", "3", "--eta2", "2",
@@ -346,8 +360,16 @@ def test_every_table_parameter_reaches_its_command(command, runner, tent_file,
             for k, v in _TABLE_ARGS[command].items()}
     assert set(args) == set(table)
     words = command.split()
-    helped = set(re.findall(r"--[\w-]+", runner.invoke(main, words + ["--help"]).output))
+    help_text = runner.invoke(main, words + ["--help"]).output
+    helped = set(re.findall(r"--[\w-]+", help_text))
     assert "--workers" in helped
+    # --help is where the defaults are documented
+    flat = " ".join(help_text.split())
+    for key, spec in table.items():
+        if spec.default not in (None, _REQ):
+            assert "[default: %s]" % spec.default in flat, key
+    assert flat.count("[required]") == sum(
+        spec.default is _REQ for spec in table.values())
 
     def run(flags, config):
         argv = list(words)

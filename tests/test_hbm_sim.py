@@ -14,7 +14,7 @@ from gasp.hbm_sim import (
     validate_hitting_law,
     y_marginal_samples,
 )
-from gasp.hitting import LevelPair
+from gasp.hitting import LevelPair, hitting_kernel
 from gasp.kernel import HalfSpacePoint, ModelParams
 
 
@@ -270,6 +270,18 @@ def test_hitting_cdf_matches_cauchy():
     xs = np.array([-150.0, -20.0, -3.0, -0.5, 0.0, 0.5, 3.0, 20.0, 150.0])
     want = 0.5 + np.arctan(xs / lv.gap) / math.pi
     assert np.max(np.abs(cdf(xs) - want)) < 2e-3
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, 3.0])
+def test_hitting_cdf_tail_exponent_matches_two_sample_fit(alpha):
+    # hitting_cdf takes the tail exponent alpha + 2 from theory; a fit of
+    # the density between half the table reach and its end agrees with it
+    p = ModelParams(alpha=alpha, n=1)
+    lv = LevelPair(2.0, 1.0)
+    r_max = 60.0 * lv.gap
+    fit = math.log(hitting_kernel(p, lv, r_max / 2.0)
+                   / hitting_kernel(p, lv, r_max)) / math.log(2.0)
+    assert abs(fit - (alpha + 2.0)) < 0.12
 
 
 def test_hitting_cdf_needs_one_dimension():

@@ -129,6 +129,19 @@ def test_ft_in_unit_interval(alpha, eta, gap, xi):
     assert 0.0 < v <= 1.0
 
 
+@pytest.mark.parametrize("alpha", [-0.999, -0.9, 0.0, 1.0, 3.0])
+def test_ft_subnormal_frequency(alpha):
+    # eta*s underflows (to 0 at s = 5e-324); the value must stay in (0, 1]
+    # and join the normal-range values continuously
+    p = ModelParams(alpha=alpha, n=1)
+    lv = LevelPair(4.0, 0.1)
+    xi = np.array([5e-324, 1e-320, 2e-307, 1e-300])
+    v = hitting_ft(p, lv, xi)
+    assert np.all((v > 0.0) & (v <= 1.0))
+    assert np.all(np.diff(v) <= 0.0)
+    assert abs(v[2] - v[3]) < 1e-3
+
+
 def test_fourier_side_semigroup_identity():
     # quotient structure makes the two-step product cancel exactly
     p = ModelParams(alpha=3.0, n=1)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasp import special_functions
+from gasp._quadrature import QuadratureError, _de_params, _exp_sinh_xw
 from gasp.special_functions import (
     BesselOrder,
     EvalAccuracy,
@@ -227,6 +229,113 @@ def test_log_bessel_k_array_matches_scalar():
     arr = np.exp(log_bessel_k(1.5, z))
     for i, zi in enumerate(z):
         assert arr[i] == pytest.approx(bessel_k(1.5, float(zi)), rel=1e-12)
+
+
+def _log_k_integral(nu, z_arr, rel_tol=1e-13, max_level=10):
+    """log of Int_0^inf e^{-u} (u(u+2z))^{nu-1/2} du, elementwise in z.
+
+    The double-exponential route log K_nu was once computed by, kept as an
+    independent oracle: the representation Int_1^inf e^{-zt}(t^2-1)^{nu-1/2}
+    dt after u = z(t-1), with e^{-z} z^{-2nu} z factored out, on exp-sinh
+    nodes refined level by level. Valid for z in [1e-6, 1e3], nu in (0, 10].
+    """
+    z_col = z_arr[:, None]
+    scale = max(1.0, 2.0 * nu - 1.0)
+    p = nu - 0.5
+    # the truncated u -> 0 tail is ~u_min^{2nu}/(2nu); keep it below 1e-17
+    reach = (20.0 / min(1.0, nu) + math.log(scale)) * (2.0 / math.pi)
+    t_max = max(4.8, math.asinh(reach))
+    log_acc = np.full(z_arr.shape, -np.inf)
+    prev = None
+    for level in range(max_level + 1):
+        h = 0.5 ** level
+        t = _de_params(h, t_max, level)
+        u, w = _exp_sinh_xw(t, 0.0, scale)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lf = (-u + np.log(w))[None, :] \
+                + p * (np.log(u)[None, :] + np.log(u[None, :] + 2.0 * z_col))
+        lf = np.where(np.isfinite(lf), lf, -np.inf)
+        m = np.maximum(log_acc, np.max(lf, axis=1))
+        m = np.where(np.isfinite(m), m, 0.0)
+        level_sum = np.sum(np.exp(lf - m[:, None]), axis=1)
+        log_acc = m + np.log(np.exp(log_acc - m) + level_sum)
+        value = log_acc + math.log(h)
+        if prev is not None and level >= 3:
+            if np.all(np.abs(value - prev) <= rel_tol):
+                return value
+        prev = value
+    raise QuadratureError("oracle quadrature did not stabilize")
+
+
+def log_bessel_k_via_de(nu, z):
+    z = np.asarray(z, dtype=float)
+    return (0.5 * math.log(math.pi) - nu * math.log(2.0) - nu * np.log(z)
+            - math.lgamma(nu + 0.5) - z + _log_k_integral(nu, z))
+
+
+def _log_rel(got, want):
+    return np.abs(got - want) / np.maximum(1.0, np.abs(want))
+
+
+def test_log_bessel_k_matches_double_exponential_oracle():
+    z = np.geomspace(1e-6, 1e3, 46)
+    for nu in np.concatenate([np.linspace(0.05, 10.0, 19), [1.0, 2.0, 3.0]]):
+        err = _log_rel(log_bessel_k(nu, z), log_bessel_k_via_de(nu, z))
+        assert np.max(err) < 1e-13, nu
+
+
+def test_log_bessel_k_matches_scipy_kve():
+    special = pytest.importorskip("scipy.special")
+    z = np.geomspace(1e-300, 1e18, 100)
+    checked = 0
+    for nu in np.concatenate([np.geomspace(1e-3, 0.5, 6),
+                              np.linspace(0.75, 30.0, 40)]):
+        with np.errstate(divide="ignore", over="ignore"):
+            want = np.log(special.kve(nu, z)) - z
+        ok = np.isfinite(want)  # kve overflows at small z once nu > ~1
+        got = log_bessel_k(nu, z)
+        assert np.max(_log_rel(got[ok], want[ok])) < 1e-14, nu
+        checked += int(np.sum(ok))
+    assert checked > 1000
+
+
+def test_log_bessel_k_small_argument_limit():
+    # K_nu(z) = Gamma(nu)/2 (2/z)^nu (1 + O(z^2)) for nu > 1, past the
+    # overflow point of K itself
+    z = np.array([5e-324, 1e-300, 1e-200, 1e-120])
+    for nu in (1.5, 4.0, 15.5, 30.0):
+        want = math.lgamma(nu) + (nu - 1.0) * math.log(2.0) - nu * np.log(z)
+        assert np.max(_log_rel(log_bessel_k(nu, z), want)) < 1e-15, nu
+
+
+def test_log_bessel_k_array_is_bitwise_its_scalar_calls():
+    # each row's nodes depend on (nu, z) alone, so mixing magnitudes (and
+    # node counts) in one call changes no bit of any row
+    z = np.concatenate([np.geomspace(1e-300, 1e18, 37),
+                        [5e-324, 0.37, 2.0, 55.0, 5.5e18, 1e-7]])
+    for nu in (0.01, 0.5, 1.25, 2.0, 7.3, 15.5, 30.0):
+        arr = log_bessel_k(nu, z)
+        assert arr.tolist() == [log_bessel_k(nu, float(v)) for v in z], nu
+        assert np.array_equal(log_bessel_k(nu, z[:42].reshape(6, 7)),
+                              arr[:42].reshape(6, 7))
+
+
+def test_log_bessel_k_extreme_arguments_are_finite():
+    # 5e-324: the smallest double (phi_nu at r = 5e-324); 5.5e18: the
+    # exp-sinh nodes of the hitting density at r = 0
+    for nu in (0.01, 0.5, 2.0, 15.5, 30.0):
+        vals = log_bessel_k(nu, np.array([5e-324, 5.5e18]))
+        assert np.all(np.isfinite(vals)), nu
+        assert vals[1] == pytest.approx(
+            -5.5e18 + 0.5 * math.log(math.pi / 1.1e19), rel=1e-15)
+
+
+def test_log_bessel_k_coarse_rule_raises(monkeypatch):
+    # the rule at twice the step is the error estimate; a step far too
+    # coarse for the integrand must raise instead of returning its sum
+    monkeypatch.setattr(special_functions, "_K_STEP_NU", 40.0)
+    with pytest.raises(QuadratureError):
+        log_bessel_k(2.0, 1e-3)
 
 
 def test_bessel_k_domain():

@@ -43,6 +43,19 @@ def test_radial_profile_accepts_consistent_decay():
     exp_profile()
 
 
+def test_radial_profile_declared_amplitude_covers_late_prefactor():
+    # bounded by 1e4 e^{-s}, but flat at s = 2 and 4 where the check calibrates
+    def f(s):
+        return min(1.0, 1e4 * math.exp(-s))
+
+    with pytest.raises(ValueError):
+        RadialProfile(eval=f, decay_class=ExponentialDecay(1.0))
+    RadialProfile(eval=f, decay_class=ExponentialDecay(1.0, amplitude=1e4))
+    with pytest.raises(ValueError):
+        RadialProfile(eval=lambda s: 1.0 / (1.0 + s * s),
+                      decay_class=ExponentialDecay(1.0, amplitude=1e4))
+
+
 # ---------------------------------------------------------------------------
 # hankel_transform
 
