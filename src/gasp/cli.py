@@ -108,8 +108,8 @@ _DEFAULTS = {
     "simulate boundary": {
         "alpha": _ALPHA, "n": _SIM_N, "y": _Param(1.0, float, "Start height."),
         "paths": _PATHS, "dt": _DT,
-        "floor": _Param(None, float, "Stopping floor standing in for the "
-                        "boundary (default 1e-4*y)."),
+        "floor": _Param(None, float, "Height where the walk stops and the exact "
+                        "completion to the boundary starts (default 1e-4*y)."),
         "seed": _SEED, "samples": _SAMPLES},
     "simulate hitting": {
         "alpha": _ALPHA, "n": _SIM_N, "y": _Param(2.0, float, "Start level."),

@@ -153,7 +153,9 @@ def hitting_kernel(p: ModelParams, levels: LevelPair, x_norm, acc=EvalAccuracy()
     float
         Density value, nonnegative up to quadrature noise.  Small negative
         results (within ``max(acc.abs_tol, 1e-12)``) are clipped to 0.0 and
-        reported through a RuntimeWarning.
+        reported through a RuntimeWarning.  The inversion error is absolute,
+        about 1e-15 of the integral's scale, so tail densities can miss
+        ``acc.rel_tol`` (2.3e-10 relative at alpha = 30, 2 -> 1, r = 2).
     """
     r = float(x_norm)
     if not (math.isfinite(r) and r >= 0.0):

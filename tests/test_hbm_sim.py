@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gasp import hbm_sim
 from gasp.hbm_sim import (
     HitSampleSet,
     SimConfig,
@@ -121,22 +122,42 @@ def test_samples_are_read_only():
 
 
 def test_stream_layout_is_documented_one():
-    # reproduce path 0 from its raw stream: column 0 of a (steps, 1+n)
+    # reproduce path 0 from its raw streams: column 0 of a (steps, 1+n)
     # normal block drives log Y, the rest drive X, interpolation is linear
-    # in log Y
-    cfg = make_cfg(n_paths=1, y_floor=1e-2, master_seed=314, dt=8e-3)
-    got = simulate_paths(cfg)
-    rng = np.random.Generator(np.random.Philox(key=[314, 0]))
-    z = rng.standard_normal((4096, 2))
-    sq = math.sqrt(cfg.dt)
-    logs = math.log(cfg.start.y) + np.cumsum(z[:, 0] * sq - cfg.mu * cfg.dt)
-    starts = np.concatenate([[math.log(cfg.start.y)], logs[:-1]])
-    k = int(np.argmax(logs <= math.log(cfg.stop_level)))
-    theta = (starts[k] - math.log(cfg.stop_level)) / (starts[k] - logs[k])
-    x = sq * float(np.sum(np.exp(starts[:k]) * z[:k, 1]))
-    x += theta * sq * math.exp(starts[k]) * z[k, 1]
-    assert got.samples[0, 0] == x
-    assert got.stop_times[0] == (k + theta) * cfg.dt
+    # in log Y; below the floor the same key at counter 2**192 gives one
+    # G ~ Gamma(mu) for all n coordinates, then n normals
+    for n in (1, 2):
+        cfg = make_cfg(p=ModelParams(alpha=0.0, n=n),
+                       start=HalfSpacePoint(x=(0.0,) * n, y=1.0), n_paths=1,
+                       y_floor=1e-2, master_seed=314, dt=8e-3)
+        got = simulate_paths(cfg)
+        rng = np.random.Generator(np.random.Philox(key=[314, 0]))
+        z = rng.standard_normal((4096, 1 + n))
+        sq = math.sqrt(cfg.dt)
+        logs = math.log(cfg.start.y) + np.cumsum(z[:, 0] * sq - cfg.mu * cfg.dt)
+        starts = np.concatenate([[math.log(cfg.start.y)], logs[:-1]])
+        k = int(np.argmax(logs <= math.log(cfg.stop_level)))
+        theta = (starts[k] - math.log(cfg.stop_level)) / (starts[k] - logs[k])
+        x = sq * (np.exp(starts[:k])[:, None] * z[:k, 1:]).sum(axis=0)
+        x += theta * sq * math.exp(starts[k]) * z[k, 1:]
+        tail = np.random.Generator(
+            np.random.Philox(key=[314, 0], counter=2**192))
+        g = tail.standard_gamma(cfg.mu)
+        x += cfg.y_floor * (tail.standard_normal(n) / math.sqrt(2.0 * g))
+        assert np.array_equal(got.samples[0], x)
+        assert got.stop_times[0] == (k + theta) * cfg.dt
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0, 3.0])
+def test_floor_completion_is_the_boundary_kernel(alpha):
+    # started at height 1 the completion alone has the boundary-kernel law;
+    # a wrong Gamma shape or scale moves KS by 0.03 or more, which the
+    # 1e-4 floor of a walk would hide
+    p = ModelParams(alpha=alpha, n=1)
+    rng = np.random.Generator(np.random.Philox(key=[2026, 0]))
+    xs = np.sort(hbm_sim._floor_completion(rng, 1, p.nu, 200_000)[:, 0])
+    ks = ks_statistic(xs, boundary_kernel_cdf(p, 1.0))
+    assert ks <= 1.95 / math.sqrt(xs.size) + 5e-3
 
 
 # ---------------------------------------------------- stopped-law moments
@@ -305,24 +326,29 @@ def test_boundary_law_alpha2_passes():
     assert rep["passed"]
     assert rep["ks"] <= rep["threshold"]
     assert rep["law"] == "boundary"
-    assert rep["floor_allowance"] < 1e-6  # mu > 1: analytic leftover bound
+    assert rep["floor_allowance"] == 0.0
     assert set(rep) >= {"alpha", "dt", "y_floor", "n_paths", "master_seed",
                         "ks", "threshold", "passed"}
 
 
-def test_boundary_law_low_alpha_uses_floor_halving():
-    cfg = SimConfig(
-        p=ModelParams(alpha=0.0, n=1),
-        start=HalfSpacePoint(x=(0.0,), y=1.0),
-        dt=1e-2,
-        y_stop=0.0,
-        n_paths=1500,
-        master_seed=21,
-        y_floor=1e-2,
-    )
-    rep = validate_boundary_law(cfg)
-    assert rep["passed"]
-    assert rep["floor_allowance"] >= 0.0
+def test_boundary_law_has_no_floor_allowance(monkeypatch):
+    # the completion leaves no floor bias to allow for: the threshold is the
+    # bare KS level, each path is simulated once, and given samples not at all
+    calls = []
+    real = hbm_sim.simulate_paths
+    monkeypatch.setattr(hbm_sim, "simulate_paths",
+                        lambda c, **kw: calls.append(c) or real(c, **kw))
+    for alpha in (0.0, 2.0):
+        cfg = make_cfg(p=ModelParams(alpha=alpha, n=1), n_paths=1500,
+                       master_seed=21, y_floor=1e-2)
+        rep = validate_boundary_law(cfg)
+        assert calls == [cfg]
+        assert rep == validate_boundary_law(cfg, samples=real(cfg))
+        assert calls == [cfg]
+        assert rep["passed"]
+        assert rep["floor_allowance"] == 0.0
+        assert rep["threshold"] == 1.95 / math.sqrt(1500) + 5e-3
+        calls.clear()
 
 
 def test_boundary_law_validation_errors():
