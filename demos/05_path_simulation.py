@@ -1,12 +1,13 @@
 """Simulating the process and validating the exit laws.
 
-The height coordinate has an exact log-space update, the horizontal
-coordinates are Euler steps, the rest of a path below the stopping floor is
-added exactly from Dufresne's identity, and every path draws from its own
-counter-based stream, so results are reproducible and independent of how
-work is split across workers.  This script runs small ensembles, compares
-empirical exit laws against the kernels by Kolmogorov-Smirnov distance, and
-demonstrates the determinism guarantees.
+The height coordinate has an exact log-space update; given that path the
+horizontal coordinates are drawn once, from their exact Gaussian law; the
+rest of a path below the stopping floor is added exactly from Dufresne's
+identity; and every path draws from its own counter-based stream, so
+results are reproducible and independent of how work is split across
+workers.  This script runs small ensembles, compares empirical exit laws
+against the kernels by Kolmogorov-Smirnov distance, and demonstrates the
+determinism guarantees.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ def main():
     print()
 
     print("packaged KS validation (paths completed exactly below the floor):")
-    rep = validate_boundary_law(cfg)
+    rep = validate_boundary_law(cfg, samples=run)
     print("  ks=%.4f threshold=%.4f passed=%s"
           % (rep["ks"], rep["threshold"], rep["passed"]))
     print()

@@ -7,18 +7,21 @@ to the boundary.  The log of Y is exact geometric motion,
 
     log Y_{k+1} = log Y_k + dB_k - mu dt,
 
-which is simulated without any discretization bias; only the X coordinate
-uses an Euler step (a centered Gaussian with per-coordinate variance
-Y_k^2 dt).  Paths stop on first contact with a level: ``y_stop`` itself in
+which is simulated without any discretization bias.  X takes Euler steps,
+so given the log-Y path each stopped coordinate is exactly N(0, V) with
+V = dt sum_{k<K} Y_k^2 + theta^2 dt Y_K^2 (theta: the crossing fraction of
+the last step); the walk draws one normal per step, X one n-vector per
+path.  Paths stop on first contact with a level: ``y_stop`` itself in
 level mode, or a floor ``y_floor`` in boundary mode, where an exact
 completion starts: by Dufresne's identity int_0^inf exp(2(B_t - mu t)) dt
-has the law of 1/(2 G), G ~ Gamma(mu, 1), so the rest of X is
-y_floor * N_n / sqrt(2 G); stop times stay floor times.  The stopped X
-samples are the Monte Carlo oracle for the boundary and hitting laws.
+has the law of 1/(2 G), G ~ Gamma(mu, 1), so the rest of the path adds
+y_floor^2 / (2 G) to V; stop times stay floor times.  The stopped X samples
+are the Monte Carlo oracle for the boundary and hitting laws.
 
 Every path owns a counter-based RNG stream keyed by (master_seed,
-path_index), so results are bit-identical however the paths are split
-across workers, as long as they are reassembled in path order.
+path_index): the walk reads it from counter 0, then G (boundary mode only)
+and the n normals of X from counter 2**192.  So results are bit-identical
+however the paths are split across workers, reassembled in path order.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .hitting import LevelPair, hitting_kernel
 from .kernel import HalfSpacePoint, ModelParams
 from .special_functions import EvalAccuracy
 
-_CHUNK = 4096  # steps drawn per RNG call once past the sized first block
+_MAX_CHUNK = 8192  # most steps drawn per RNG call
 
 
 @dataclass(frozen=True)
@@ -115,57 +118,58 @@ class HitSampleSet:
         return self.samples.shape[0]
 
 
-def _path_rng(master_seed, path_index, counter=0):
-    return np.random.Generator(
-        np.random.Philox(key=[master_seed, path_index], counter=counter))
-
-
-def _floor_completion(rng, n, mu, size=1):
-    """Rows N_n / sqrt(2 G), G ~ Gamma(mu, 1): X moved from height 1 to y = 0."""
-    g = rng.standard_gamma(mu, size)
-    return rng.standard_normal((size, n)) / np.sqrt(2.0 * g)[:, None]
-
-
-def _walk_one(rng, n, log_start, log_stop, mu, dt, first_chunk):
-    """Run one path to absorption; returns (x_vector, stop_time).
-
-    Draws (chunk, 1+n) normals at a time: column 0 drives log Y, the rest
-    drive X.  The normal stream is invariant under chunk boundaries, so the
-    chunk sizes are a pure performance knob.
+def _path_streams(master_seed):
+    """``stream(i, block)``: a Generator in the state of a fresh
+    ``Philox(key=[master_seed, i], counter=block * 2**192)``, made by
+    re-keying one Philox (a construction costs 4x as much).  Not for
+    sharing across threads.
     """
-    sqrt_dt = math.sqrt(dt)
+    bitgen = np.random.Philox(key=master_seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+
+    def stream(i, block=0):
+        key[1] = i
+        counter[3] = block
+        bitgen.state = state
+        return rng
+
+    return stream
+
+
+def _walk_one(rng, log_start, log_stop, mu, dt):
+    """Run one path to absorption; returns (v, stop_time).
+
+    Draws one normal per step, for log Y, and sums the variance v of each X
+    coordinate given the path: Y_k^2 dt per step, theta^2 Y_K^2 dt for the
+    crossing step.  Works on 2 log Y, whose exp is Y^2.  The normal stream
+    is invariant under chunk boundaries, so the chunk sizes (expected steps
+    left plus 64) are a pure performance knob.
+    """
     drift = mu * dt
-    x = np.zeros(n)
-    log_y = log_start
+    l2_stop = 2.0 * log_stop
+    path = np.empty(_MAX_CHUNK + 1)  # 2 log Y at each step's start, then the end
+    path[0] = 2.0 * log_start
+    acc = 0.0
     steps_done = 0
-    chunk = first_chunk
     while True:
-        z = rng.standard_normal((chunk, 1 + n))
-        logs = log_y + np.cumsum(z[:, 0] * sqrt_dt - drift)
-        starts = np.empty(chunk)
-        starts[0] = log_y
-        starts[1:] = logs[:-1]
-        hit = logs <= log_stop
-        if not hit.any():
-            x += sqrt_dt * (np.exp(starts)[:, None] * z[:, 1:]).sum(axis=0)
-            log_y = logs[-1]
+        chunk = int(min((path[0] - l2_stop) / (2.0 * drift) + 64, _MAX_CHUNK))
+        ends = path[1 : chunk + 1]
+        z = rng.standard_normal(chunk) * (2.0 * math.sqrt(dt)) - 2.0 * drift
+        np.add.accumulate(z, out=ends)
+        ends += path[0]
+        k = int((ends <= l2_stop).argmax())
+        if ends[k] > l2_stop:  # no crossing in this chunk
+            acc += np.exp(path[:chunk]).sum()
+            path[0] = ends[-1]
             steps_done += chunk
-            chunk = _CHUNK
             continue
-        k = int(np.argmax(hit))
-        y_starts = np.exp(starts[: k + 1])
-        x += sqrt_dt * (y_starts[:k, None] * z[:k, 1:]).sum(axis=0)
+        y2 = np.exp(path[: k + 1])
         # crossing fraction from the exact log-linear bridge of the step
-        theta = (starts[k] - log_stop) / (starts[k] - logs[k])
-        x += theta * sqrt_dt * y_starts[k] * z[k, 1:]
-        return x, (steps_done + k + theta) * dt
-
-
-def _first_chunk(cfg):
-    # size the first draw to the expected step count so short walks do not
-    # pay for a full 4096-step block
-    expected = math.log(cfg.start.y / cfg.stop_level) / (cfg.mu * cfg.dt)
-    return int(min(max(64, 1.25 * expected + 64), 2 * _CHUNK))
+        theta = (path[k] - l2_stop) / (path[k] - ends[k])
+        v = dt * (acc + y2[:k].sum() + theta * theta * y2[k])
+        return v, (steps_done + k + theta) * dt
 
 
 def simulate_paths(cfg: SimConfig, path_range=None, workers=1) -> HitSampleSet:
@@ -193,23 +197,18 @@ def simulate_paths(cfg: SimConfig, path_range=None, workers=1) -> HitSampleSet:
             stop_times=np.concatenate([part.stop_times for part in parts]),
             seed_provenance=(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64)),
         )
-    n = cfg.p.n
-    log_start = math.log(cfg.start.y)
-    log_stop = math.log(cfg.stop_level)
-    first = _first_chunk(cfg)
-    count = hi - lo
-    samples = np.empty((count, n))
-    stop_times = np.empty(count)
-    for i in range(count):
-        rng = _path_rng(cfg.master_seed, lo + i)
-        x, t = _walk_one(rng, n, log_start, log_stop, cfg.mu, cfg.dt, first)
-        samples[i] = cfg.start.x + x
-        stop_times[i] = t
-        if cfg.boundary_mode:  # the completion's stream starts past any walk
-            rng = _path_rng(cfg.master_seed, lo + i, counter=2**192)
-            samples[i] += cfg.y_floor * _floor_completion(rng, n, cfg.mu)[0]
+    walk = (math.log(cfg.start.y), math.log(cfg.stop_level), cfg.mu, cfg.dt)
+    stream = _path_streams(cfg.master_seed)
+    samples = np.empty((hi - lo, cfg.p.n))
+    stop_times = np.empty(hi - lo)
+    for i in range(hi - lo):
+        v, stop_times[i] = _walk_one(stream(lo + i), *walk)
+        rng = stream(lo + i, 1)  # counter 2**192, past any walk
+        if cfg.boundary_mode:  # the rest of the path below the floor
+            v += cfg.y_floor**2 / (2.0 * rng.standard_gamma(cfg.mu))
+        samples[i] = math.sqrt(v) * rng.standard_normal(cfg.p.n)
     return HitSampleSet(
-        samples=samples,
+        samples=cfg.start.x + samples,
         stop_times=stop_times,
         seed_provenance=(cfg.master_seed, np.arange(lo, hi, dtype=np.uint64)),
     )
@@ -219,8 +218,8 @@ def y_marginal_samples(cfg: SimConfig, t_final):
     """Y at fixed time t_final (no stopping), one value per path.
 
     The stepped log-space update has no discretization bias, so these
-    must be exactly lognormal: log Y_T ~ Normal(log y0 - mu T, T).  Streams
-    are keyed like simulate_paths but consume one normal per step.
+    must be exactly lognormal: log Y_T ~ Normal(log y0 - mu T, T).  Each
+    path reads the normals that drive its walk in simulate_paths.
     """
     steps = int(round(t_final / cfg.dt))
     if steps < 1:
@@ -228,9 +227,10 @@ def y_marginal_samples(cfg: SimConfig, t_final):
     sqrt_dt = math.sqrt(cfg.dt)
     drift = cfg.mu * cfg.dt
     log_y0 = math.log(cfg.start.y)
+    stream = _path_streams(cfg.master_seed)
     out = np.empty(cfg.n_paths)
     for i in range(cfg.n_paths):
-        z = _path_rng(cfg.master_seed, i).standard_normal(steps)
+        z = stream(i).standard_normal(steps)
         out[i] = log_y0 + float(np.sum(z)) * sqrt_dt - drift * steps
     return np.exp(out)
 

@@ -121,43 +121,94 @@ def test_samples_are_read_only():
         r.samples[0] = 0.0
 
 
+def test_worker_pool_is_invisible():
+    # the thread pool gives each worker its own re-keyed generator
+    for cfg in (make_cfg(p=ModelParams(alpha=1.0, n=2),
+                         start=HalfSpacePoint(x=(0.5, -1.0), y=1.0),
+                         n_paths=61, y_floor=1e-2),
+                make_cfg(start=HalfSpacePoint(x=(0.0,), y=2.0), y_stop=1.0,
+                         n_paths=61)):
+        one = simulate_paths(cfg, workers=1)
+        two = simulate_paths(cfg, workers=2)
+        assert np.array_equal(one.samples, two.samples)
+        assert np.array_equal(one.stop_times, two.stop_times)
+
+
+@pytest.mark.parametrize("seed", [0, 314, 2**64 - 1])
+def test_rekeyed_stream_is_a_fresh_philox(seed):
+    stream = hbm_sim._path_streams(seed)
+    for i in (0, 1, 5, 2**40 + 3):
+        for block in (0, 1):
+            rng = stream(i, block)
+            got = (rng.standard_normal(3), rng.integers(2**32, dtype=np.uint32),
+                   rng.standard_gamma(0.5), rng.bit_generator.random_raw(5))
+            # a key list goes through float64 at 2**63 and above; the
+            # integer key sets the same two words exactly
+            key = [seed, i] if seed < 2**63 else seed + (i << 64)
+            fresh = np.random.Generator(
+                np.random.Philox(key=key, counter=block * 2**192))
+            want = (fresh.standard_normal(3), fresh.integers(2**32, dtype=np.uint32),
+                    fresh.standard_gamma(0.5), fresh.bit_generator.random_raw(5))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
 def test_stream_layout_is_documented_one():
-    # reproduce path 0 from its raw streams: column 0 of a (steps, 1+n)
-    # normal block drives log Y, the rest drive X, interpolation is linear
-    # in log Y; below the floor the same key at counter 2**192 gives one
-    # G ~ Gamma(mu) for all n coordinates, then n normals
-    for n in (1, 2):
-        cfg = make_cfg(p=ModelParams(alpha=0.0, n=n),
-                       start=HalfSpacePoint(x=(0.0,) * n, y=1.0), n_paths=1,
-                       y_floor=1e-2, master_seed=314, dt=8e-3)
+    # rebuild each path from fresh Philox streams: one normal per step from
+    # counter 0 drives log Y (linear interpolation in log Y at the
+    # crossing); from counter 2**192 one G ~ Gamma(mu) below the floor
+    # (boundary mode only), then the n normals of X ~ N(start.x, V)
+    for n, level in ((1, False), (2, False), (1, True), (2, True)):
+        start = HalfSpacePoint(x=(0.25,) * n, y=2.0 if level else 1.0)
+        cfg = make_cfg(p=ModelParams(alpha=0.0, n=n), start=start, n_paths=3,
+                       master_seed=314, dt=8e-3,
+                       **({"y_stop": 1.0} if level else {"y_floor": 1e-2}))
         got = simulate_paths(cfg)
-        rng = np.random.Generator(np.random.Philox(key=[314, 0]))
-        z = rng.standard_normal((4096, 1 + n))
-        sq = math.sqrt(cfg.dt)
-        logs = math.log(cfg.start.y) + np.cumsum(z[:, 0] * sq - cfg.mu * cfg.dt)
-        starts = np.concatenate([[math.log(cfg.start.y)], logs[:-1]])
-        k = int(np.argmax(logs <= math.log(cfg.stop_level)))
-        theta = (starts[k] - math.log(cfg.stop_level)) / (starts[k] - logs[k])
-        x = sq * (np.exp(starts[:k])[:, None] * z[:k, 1:]).sum(axis=0)
-        x += theta * sq * math.exp(starts[k]) * z[k, 1:]
-        tail = np.random.Generator(
-            np.random.Philox(key=[314, 0], counter=2**192))
-        g = tail.standard_gamma(cfg.mu)
-        x += cfg.y_floor * (tail.standard_normal(n) / math.sqrt(2.0 * g))
-        assert np.array_equal(got.samples[0], x)
-        assert got.stop_times[0] == (k + theta) * cfg.dt
+        sq, log_stop = math.sqrt(cfg.dt), math.log(cfg.stop_level)
+        for i in range(cfg.n_paths):
+            walk = np.random.Generator(np.random.Philox(key=[314, i]))
+            logs = math.log(start.y) + np.cumsum(
+                walk.standard_normal(8192) * sq - cfg.mu * cfg.dt)
+            starts = np.concatenate([[math.log(start.y)], logs[:-1]])
+            k = int(np.argmax(logs <= log_stop))
+            assert logs[k] <= log_stop
+            theta = (starts[k] - log_stop) / (starts[k] - logs[k])
+            y2 = np.exp(2.0 * starts[: k + 1])
+            v = cfg.dt * (y2[:k].sum() + theta * theta * y2[k])
+            tail = np.random.Generator(
+                np.random.Philox(key=[314, i], counter=2**192))
+            if not level:
+                v += cfg.y_floor**2 / (2.0 * tail.standard_gamma(cfg.mu))
+            x = np.asarray(start.x) + math.sqrt(v) * tail.standard_normal(n)
+            np.testing.assert_allclose(got.samples[i], x, rtol=1e-14, atol=0.0)
+            assert got.stop_times[i] == (k + theta) * cfg.dt
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0, 3.0])
 def test_floor_completion_is_the_boundary_kernel(alpha):
-    # started at height 1 the completion alone has the boundary-kernel law;
-    # a wrong Gamma shape or scale moves KS by 0.03 or more, which the
-    # 1e-4 floor of a walk would hide
+    # Dufresne: started at height 1 the rest of a path, N / sqrt(2 G) with
+    # G ~ Gamma(mu), has the boundary-kernel law; a wrong Gamma shape or
+    # scale moves KS by 0.03 or more, which the 1e-4 floor of a walk hides
     p = ModelParams(alpha=alpha, n=1)
     rng = np.random.Generator(np.random.Philox(key=[2026, 0]))
-    xs = np.sort(hbm_sim._floor_completion(rng, 1, p.nu, 200_000)[:, 0])
+    g = rng.standard_gamma(p.nu, 200_000)
+    xs = np.sort(rng.standard_normal(200_000) / np.sqrt(2.0 * g))
     ks = ks_statistic(xs, boundary_kernel_cdf(p, 1.0))
     assert ks <= 1.95 / math.sqrt(xs.size) + 5e-3
+
+
+@pytest.mark.parametrize("alpha, n", [(2.0, 3), (-0.5, 2)])
+def test_boundary_law_in_several_dimensions(alpha, n):
+    # the boundary kernel is a multivariate t law with alpha+1 degrees of
+    # freedom, so |X|^2 (alpha+1) / (n y^2) follows F(n, alpha+1)
+    stats = pytest.importorskip("scipy.stats")
+    cfg = SimConfig(p=ModelParams(alpha=alpha, n=n),
+                    start=HalfSpacePoint(x=(0.0,) * n, y=1.0), dt=1e-2,
+                    y_stop=0.0, n_paths=20000, master_seed=8, y_floor=1e-2)
+    x = simulate_paths(cfg).samples
+    f = np.sum(x**2, axis=1) * (alpha + 1.0) / n
+    ks = stats.kstest(f, stats.f(n, alpha + 1.0).cdf).statistic
+    assert ks <= 1.95 / math.sqrt(cfg.n_paths) + 5e-3
 
 
 # ---------------------------------------------------- stopped-law moments
