@@ -2,12 +2,12 @@
 
 The library is organized bottom-up:
 
-- ``special_functions``: Bessel J/I/K (log-scaled K included) and the
-  normalized profile phi_nu, on in-house quadratures.
+- ``special_functions``: gamma, Bessel J, log K_nu and the normalized
+  profile phi_nu, on in-house quadratures.
 - ``kernel``: model parameters, the kernel K_{alpha,y}, its derivatives,
   mass, and the finite-difference residual of the weighted operator.
 - ``spectral``: the kernel's Fourier transform three independent ways and
-  the oscillatory Hankel machinery.
+  the profile ODE.
 - ``boundary_data``: gridded weighted-derivative boundary data, its JSON
   schema, and the sharpness construction.
 - ``extension``: u = K * f on points and grids, boundary convergence, and
@@ -59,7 +59,6 @@ from .hbm_sim import (
     simulate_paths,
     validate_boundary_law,
     validate_hitting_law,
-    y_marginal_samples,
 )
 from .hitting import LevelPair, hitting_ft, hitting_kernel, semigroup_check
 from .kernel import (
@@ -74,24 +73,16 @@ from .kernel import (
     unit_sphere_area,
 )
 from .special_functions import (
-    BesselOrder,
     EvalAccuracy,
-    bessel_i,
     bessel_j,
-    bessel_k,
     gamma_fn,
     log_bessel_k,
     phi_nu,
 )
 from .spectral import (
-    ExponentialDecay,
-    PolynomialDecay,
-    RadialProfile,
     ft_closed_form,
     ft_direct,
     ft_integral_rep,
-    hankel_transform,
-    kernel_radial_profile,
     profile_ode_residual,
 )
 

@@ -35,7 +35,7 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh on [a, b]
+# double-exponential refinement
 
 
 def _de_params(h, t_max, level):
@@ -52,6 +52,38 @@ def _de_params(h, t_max, level):
     step = 2.0 * h
     t = (np.arange(-int(t_max / step) - 1, int(t_max / step) + 1) + 0.5) * step
     return t[np.abs(t) <= t_max]
+
+
+def _de_refine(name, node_map, f, t_max, rel_tol, abs_tol, max_level):
+    """Level loop shared by the double-exponential rules.
+
+    node_map(t) -> (args, weights) turns parameters t into the arguments
+    f is called with and the matching weights. Each level adds the points
+    new at that step, so the running sum reweighted by h is the rule at h;
+    two successive levels closer than the tolerance stop the loop.
+    """
+    total = 0.0
+    prev = None
+    err = math.inf
+    for level in range(max_level + 1):
+        h = 0.5 ** level
+        args, w = node_map(_de_params(h, t_max, level))
+        fv = f(*args)
+        fv = np.where(np.isfinite(fv), fv, 0.0)
+        total = total + np.sum(fv * w).item()
+        value = total * h  # halving h reweights the accumulated sum
+        if prev is not None and level >= 2:
+            err = abs(value - prev)
+            if err <= rel_tol * abs(value) + abs_tol:
+                return value, err
+        prev = value
+    raise QuadratureError(
+        "%s did not reach tol=%.1e (err estimate %.2e)" % (name, rel_tol, err),
+        value=prev, error_estimate=err)
+
+
+# ---------------------------------------------------------------------------
+# tanh-sinh on [a, b]
 
 
 def _tanh_sinh_xw(t, a, b):
@@ -84,26 +116,13 @@ def tanh_sinh(f, a, b, rel_tol=1e-12, abs_tol=0.0, max_level=12,
     """
     if not b > a:
         raise ValueError("need b > a")
-    t_max = 4.0
-    total = 0.0
-    prev = None
-    err = math.inf
-    for level in range(max_level + 1):
-        h = 0.5 ** level
-        t = _de_params(h, t_max, level)
+
+    def node_map(t):
         x, w, da, db = _tanh_sinh_xw(t, a, b)
-        fv = f(x, da, db) if with_distances else f(x)
-        fv = np.where(np.isfinite(fv), fv, 0.0)
-        total = total + np.sum(fv * w).item()
-        value = total * h  # halving h reweights the accumulated sum
-        if prev is not None and level >= 2:
-            err = abs(value - prev)
-            if err <= rel_tol * abs(value) + abs_tol:
-                return value, err
-        prev = value
-    raise QuadratureError(
-        "tanh-sinh did not reach tol=%.1e (err estimate %.2e)" % (rel_tol, err),
-        value=prev, error_estimate=err)
+        return ((x, da, db) if with_distances else (x,)), w
+
+    return _de_refine("tanh-sinh", node_map, f, 4.0, rel_tol, abs_tol,
+                      max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -128,26 +147,13 @@ def exp_sinh(f, a=0.0, scale=1.0, rel_tol=1e-12, abs_tol=0.0, max_level=12):
     (or faster) decay at infinity. ``scale`` shifts the node cluster; set
     it near the scale on which f varies. Returns (value, error_estimate).
     """
-    t_max = 4.8
-    total = 0.0
-    prev = None
-    err = math.inf
-    for level in range(max_level + 1):
-        h = 0.5 ** level
-        t = _de_params(h, t_max, level)
+
+    def node_map(t):
         x, w = _exp_sinh_xw(t, a, scale)
-        fv = f(x)
-        fv = np.where(np.isfinite(fv), fv, 0.0)
-        total += float(np.sum(fv * w))
-        value = total * h
-        if prev is not None and level >= 2:
-            err = abs(value - prev)
-            if err <= rel_tol * abs(value) + abs_tol:
-                return value, err
-        prev = value
-    raise QuadratureError(
-        "exp-sinh did not reach tol=%.1e (err estimate %.2e)" % (rel_tol, err),
-        value=prev, error_estimate=err)
+        return (x,), w
+
+    return _de_refine("exp-sinh", node_map, f, 4.8, rel_tol, abs_tol,
+                      max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +193,25 @@ def _averaging_diagonal(partial_sums):
     while row.shape[-1] > 1:
         row = 0.5 * (row[..., 1:] + row[..., :-1])
     return row[..., 0]
+
+
+def lobe_edges(boundaries, feature):
+    """Lobe boundaries for integrate_lobes_rows on [0, inf).
+
+    boundaries yields the sign changes b1 < b2 < ... of the oscillatory
+    factor. When the first lobe [0, b1) is much wider than the feature
+    scale of the rest of the integrand, one Gauss panel cannot resolve its
+    peak, so that lobe is first split geometrically from 0.25 * feature.
+    """
+    boundaries = iter(boundaries)
+    first = next(boundaries)
+    yield 0.0
+    e = 0.25 * feature
+    while e < 0.75 * first:
+        yield e
+        e *= 2.0
+    yield first
+    yield from boundaries
 
 
 def integrate_lobes_rows(f, boundary_gen, rel_tol=1e-10, abs_tol=0.0,

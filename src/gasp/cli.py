@@ -23,7 +23,6 @@ to stdout and write their document only when ``--output`` is given.
 import collections
 import functools
 import json
-import math
 import os
 import sys
 
@@ -194,14 +193,7 @@ def _settings(command, config_path, flags):
 
 
 def _params(settings):
-    alpha = float(settings["alpha"])
-    if not (alpha > -1.0 and math.isfinite(alpha)):
-        raise ValueError(
-            "alpha = %r is outside the admissible range alpha > -1: at "
-            "alpha = -1 the kernel normalization diverges, and below it the "
-            "weighted problem admits only the zero solution, so every "
-            "subcommand refuses to run" % (settings["alpha"],))
-    return ModelParams(alpha, int(settings["n"]))
+    return ModelParams(float(settings["alpha"]), int(settings["n"]))
 
 
 def _seed(settings):

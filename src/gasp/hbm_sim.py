@@ -214,27 +214,6 @@ def simulate_paths(cfg: SimConfig, path_range=None, workers=1) -> HitSampleSet:
     )
 
 
-def y_marginal_samples(cfg: SimConfig, t_final):
-    """Y at fixed time t_final (no stopping), one value per path.
-
-    The stepped log-space update has no discretization bias, so these
-    must be exactly lognormal: log Y_T ~ Normal(log y0 - mu T, T).  Each
-    path reads the normals that drive its walk in simulate_paths.
-    """
-    steps = int(round(t_final / cfg.dt))
-    if steps < 1:
-        raise ValueError("t_final must be at least one step")
-    sqrt_dt = math.sqrt(cfg.dt)
-    drift = cfg.mu * cfg.dt
-    log_y0 = math.log(cfg.start.y)
-    stream = _path_streams(cfg.master_seed)
-    out = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        z = stream(i).standard_normal(steps)
-        out[i] = log_y0 + float(np.sum(z)) * sqrt_dt - drift * steps
-    return np.exp(out)
-
-
 # ------------------------------------------------------------- statistics
 
 

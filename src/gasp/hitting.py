@@ -8,7 +8,8 @@ position has a density ``G`` on R^n whose Fourier transform is the quotient
 
 The quotient is evaluated in log space so that both Bessel factors can be
 taken far past the range where K_nu itself underflows.  The physical
-density comes from Hankel inversion of the quotient profile, and the
+density comes from Hankel inversion of the quotient, one lobe sum between
+the zeros of the Bessel factor (an exp-sinh rule at r = 0), and the
 semigroup property G_{y,eta1} = G_{y,eta2} * G_{eta2,eta1} is checked by
 discrete convolution on a user-supplied grid.
 """
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import exp_sinh
+from ._quadrature import exp_sinh, integrate_lobes_rows, lobe_edges
 from .boundary_data import Grid, radius_sq
 from .kernel import ModelParams, unit_sphere_area
-from .special_functions import EvalAccuracy, log_bessel_k
-from .spectral import ExponentialDecay, RadialProfile, hankel_transform
+from .special_functions import EvalAccuracy, bessel_j, log_bessel_k
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,37 @@ def _small_arg_ft(nu, levels, s):
     return np.minimum(one_minus_r_y / one_minus_r_eta, 1.0)
 
 
-def _ft_profile(p, levels):
-    # K_nu(ys)/K_nu(eta s) ~ (eta/y)^{1/2} e^{-(y-eta)s} for large s, so the
-    # quotient belongs to the exponential decay class with rate = gap. For
-    # nu >= 1/2, sqrt(x) e^x K_nu(x) decreases, which bounds the quotient by
-    # (y/eta)^(nu-1/2) e^{-gap s} at every s; for nu < 1/2 it is at most 1.
-    return RadialProfile(
-        eval=lambda s: hitting_ft(p, levels, s),
-        decay_class=ExponentialDecay(
-            rate=levels.gap,
-            amplitude=(levels.y / levels.eta) ** max(p.nu - 0.5, 0.0),
-        ),
-    )
+def _bessel_zero_gen(nu):
+    """McMahon zeros of J_nu, from the first.
+
+    Lobe boundaries only need to straddle sign changes, so the three-term
+    McMahon expansion (error O(k^-5)) is plenty.
+    """
+    mu = 4.0 * nu * nu
+    k = 1
+    while True:
+        beta = (k + 0.5 * nu - 0.25) * math.pi
+        yield beta - (mu - 1.0) / (8.0 * beta) \
+            - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
+        k += 1
+
+
+def _invert_ft(p, levels, r, acc):
+    """(2 pi)^{n/2} r^{(2-n)/2} Int_0^inf Q(s) s^{n/2} J_{(n-2)/2}(rs) ds.
+
+    The radial inverse Fourier transform of the quotient Q = hitting_ft,
+    times (2 pi)^n, at r > 0. Lobes end at the zeros of the Bessel factor;
+    Q falls like e^{-gap s}, so the first lobe is graded at scale 1/gap.
+    """
+    nu_j = 0.5 * (p.n - 2.0)
+
+    def integrand(s):
+        return (hitting_ft(p, levels, s) * s ** (0.5 * p.n)
+                * bessel_j(nu_j, r * s))[None, :]
+
+    edges = lobe_edges((z / r for z in _bessel_zero_gen(nu_j)), 1.0 / levels.gap)
+    value, _err = integrate_lobes_rows(integrand, edges, rel_tol=0.1 * acc.rel_tol)
+    return (2.0 * math.pi) ** (0.5 * p.n) * r ** (0.5 * (2.0 - p.n)) * value[0]
 
 
 def hitting_kernel(p: ModelParams, levels: LevelPair, x_norm, acc=EvalAccuracy()):
@@ -153,9 +172,13 @@ def hitting_kernel(p: ModelParams, levels: LevelPair, x_norm, acc=EvalAccuracy()
     float
         Density value, nonnegative up to quadrature noise.  Small negative
         results (within ``max(acc.abs_tol, 1e-12)``) are clipped to 0.0 and
-        reported through a RuntimeWarning.  The inversion error is absolute,
-        about 1e-15 of the integral's scale, so tail densities can miss
-        ``acc.rel_tol`` (2.3e-10 relative at alpha = 30, 2 -> 1, r = 2).
+        reported through a RuntimeWarning.  At r > 0 the value can miss
+        ``acc.rel_tol`` by orders of magnitude when alpha is small: at
+        n = 1, levels 2 -> 1 and r in {0.5, 2, 6} the relative error is up
+        to 3.2e-5 at alpha = -0.9, 5.3e-6 at alpha = -0.5 and 9.5e-9 at
+        alpha = 0.5, most likely because the first Gauss panel does not
+        resolve the s^(2 nu) cusp of the quotient at s = 0.  Tail densities
+        at large alpha miss it too (2.3e-10 at alpha = 30, r = 2).
     """
     r = float(x_norm)
     if not (math.isfinite(r) and r >= 0.0):
@@ -170,9 +193,7 @@ def hitting_kernel(p: ModelParams, levels: LevelPair, x_norm, acc=EvalAccuracy()
         )
         return unit_sphere_area(p.n) * radial / (2.0 * math.pi) ** p.n
 
-    value = hankel_transform(_ft_profile(p, levels), p.n, r, acc) / (
-        2.0 * math.pi
-    ) ** p.n
+    value = _invert_ft(p, levels, r, acc) / (2.0 * math.pi) ** p.n
     if value < 0.0:
         clip = max(acc.abs_tol, 1e-12)
         if -value <= clip:

@@ -50,7 +50,10 @@ class ModelParams:
         n = int(self.n)
         if not (alpha > -1.0 and math.isfinite(alpha)):
             raise ValueError(
-                "alpha must be a finite number > -1, got %r" % (self.alpha,))
+                "alpha = %r is outside the admissible range: alpha must be a "
+                "finite number > -1. At alpha = -1 the kernel normalization "
+                "diverges, and below it the weighted problem admits only the "
+                "zero solution" % (self.alpha,))
         if n < 1:
             raise ValueError("n must be a positive integer, got %r" % (self.n,))
         object.__setattr__(self, "alpha", alpha)

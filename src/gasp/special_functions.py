@@ -1,13 +1,12 @@
-"""Gamma and Bessel-family evaluation (J_nu, I_nu, K_nu).
+"""Gamma and Bessel-family evaluation (J_nu, log K_nu).
 
-Everything downstream (kernel transforms, hitting quotients, Hankel
-inversion) reduces to these four evaluators, so their accuracy targets are
-stricter than anything built on top:
+Everything downstream (kernel transforms, hitting quotients, the hitting
+density's inversion) reduces to these evaluators, so their accuracy
+targets are stricter than anything built on top:
 
 * gamma_fn          Lanczos approximation, rel err ~1e-15 on (0, 50]
 * bessel_j          ascending series, Hankel asymptotics past the crossover
-* bessel_i          ascending series (positive terms, no cancellation)
-* bessel_k          log K_nu(z) from K_nu(z) = Int_0^inf e^{-z cosh t}
+* log_bessel_k      log K_nu(z) from K_nu(z) = Int_0^inf e^{-z cosh t}
                     cosh(nu t) dt by a trapezoid rule on fixed nodes, which
                     converges exponentially for this entire integrand; one
                     code path for every nu > 0, integer orders included.
@@ -20,8 +19,8 @@ stricter than anything built on top:
                     continuous at r = 0 with phi_nu(0) = 1.
 
 K_nu is deliberately not routed through the (I_{-nu} - I_nu)/sin(nu pi)
-formula, which has removable singularities at integer nu; that route is
-kept only as the independent cross-check bessel_k_via_i.
+formula, which has removable singularities at integer nu; the tests keep
+that route as an independent cross-check.
 """
 
 import math
@@ -31,25 +30,7 @@ import numpy as np
 
 from ._quadrature import QuadratureError
 
-__all__ = [
-    "BesselOrder", "EvalAccuracy", "gamma_fn", "bessel_j", "bessel_i",
-    "bessel_k", "bessel_k_via_i", "log_bessel_k", "phi_nu",
-]
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order parameter nu >= -1/2 (the J integral representation's range)."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu) or self.nu < -0.5:
-            raise ValueError("Bessel order must be finite and >= -1/2, got %r"
-                             % (self.nu,))
-
-    def __float__(self):
-        return float(self.nu)
+__all__ = ["EvalAccuracy", "gamma_fn", "bessel_j", "log_bessel_k", "phi_nu"]
 
 
 @dataclass(frozen=True)
@@ -66,10 +47,6 @@ class EvalAccuracy:
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
             raise ValueError("abs_tol must be finite and >= 0, got %r"
                              % (self.abs_tol,))
-
-
-def _order(nu):
-    return float(nu) if not isinstance(nu, BesselOrder) else nu.nu
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +161,7 @@ def bessel_j(order, z):
     (the (z/2)^nu prefactor); callers needing the nu = -1/2 cosine kernel
     should use its elementary form directly.
     """
-    nu = _order(order)
+    nu = float(order)
     if nu < -0.5 or not math.isfinite(nu):
         raise ValueError("bessel_j needs nu >= -1/2, got %r" % (nu,))
     z_arr = np.asarray(z, dtype=float)
@@ -200,46 +177,6 @@ def bessel_j(order, z):
             out[small] = _bessel_j_series(nu, z_arr[small])
     if np.any(~small):
         out[~small] = _bessel_j_asym(nu, z_arr[~small])
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# I_nu
-
-
-def bessel_i(order, z):
-    """Modified Bessel function of the first kind, ascending series.
-
-    For nu >= 0 every term is positive: no cancellation, accuracy is
-    rounding-limited for every z the package uses (z <= ~60). Negative
-    orders pick up sign flips from the Gamma continuation in the first
-    ceil(-nu) terms only, which stay O(1) relative to the sum.
-    """
-    nu = _order(order)
-    if nu < -0.5 and abs(nu - round(nu)) < 1e-15:
-        raise ValueError("bessel_i series needs non-pole order, got %r" % (nu,))
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0) or not np.all(np.isfinite(z_arr)):
-        raise ValueError("bessel_i needs finite z >= 0")
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    half = 0.5 * z_arr
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pref = nu * np.log(half)
-        # Gamma(nu+1) may sit left of the positive axis for nu in (-1, -1/2)
-        # or lower; math.gamma covers the analytic continuation.
-        pref = np.exp(log_pref) / math.gamma(nu + 1.0)
-        term = pref.copy()
-        out = pref.copy()
-        zz = half * half
-        for m in range(1, 160):
-            term = term * zz / (m * (nu + m))
-            out += term
-            if np.all(np.abs(term) <= 1e-18 * (np.abs(out) + 1e-300)):
-                break
-    if np.any(half == 0.0):
-        limit = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else np.inf)
-        out = np.where(half == 0.0, limit, out)
     return float(out[0]) if scalar else out
 
 
@@ -303,11 +240,11 @@ def _log_k_trapezoid(nu, z_arr):
 def log_bessel_k(order, z):
     """log K_nu(z) for nu > 0, z > 0; scalar or array in z.
 
-    This is the workhorse behind bessel_k and the hitting-kernel quotient
+    This is the workhorse behind phi_nu and the hitting-kernel quotient
     (which needs differences of log K at arguments large enough that the
     plain values underflow).
     """
-    nu = _order(order)
+    nu = float(order)
     if not (nu > 0.0 and math.isfinite(nu)):
         raise ValueError("log_bessel_k needs nu > 0, got %r" % (nu,))
     z_arr = np.asarray(z, dtype=float)
@@ -316,46 +253,6 @@ def log_bessel_k(order, z):
     flat = z_arr.ravel()
     out = (_log_k_trapezoid(nu, flat) - flat).reshape(z_arr.shape)
     return float(out) if z_arr.ndim == 0 else out
-
-
-def bessel_k(order, z, scaled=False):
-    """Modified Bessel function of the second kind, nu > 0, z > 0.
-
-    With scaled=True returns e^z K_nu(z). Unscaled values that would
-    underflow to zero raise OverflowError instead of saturating silently.
-    """
-    nu = _order(order)
-    z = float(z)
-    if not (nu > 0.0):
-        raise ValueError("bessel_k needs nu > 0, got %r" % (nu,))
-    if not (z > 0.0 and math.isfinite(z)):
-        raise ValueError("bessel_k needs finite z > 0, got %r" % (z,))
-    log_k = log_bessel_k(nu, z)
-    if scaled:
-        return math.exp(log_k + z)
-    if log_k < -744.0:
-        raise OverflowError(
-            "K_%g(%g) underflows double precision; pass scaled=True" % (nu, z))
-    return math.exp(log_k)
-
-
-def bessel_k_via_i(order, z):
-    """K_nu through (pi/2)(I_{-nu} - I_nu)/sin(nu pi), non-integer nu only.
-
-    Kept as an independent cross-check of the integral route; the removable
-    singularity at integer nu is exactly why it is not the primary path.
-    The difference is conditioned like e^{2z} (both I's grow like e^z while
-    K decays like e^{-z}), so in double precision the result carries about
-    16 - 2z/ln(10) correct digits: fine below z ~ 9, meaningless by z ~ 18.
-    """
-    nu = _order(order)
-    z = float(z)
-    if abs(nu - round(nu)) < 1e-8:
-        raise ValueError("the I-difference route needs non-integer nu")
-    if not (0.0 < nu):
-        raise ValueError("bessel_k_via_i needs nu > 0")
-    return (math.pi / 2.0) * (bessel_i(-nu, z) - bessel_i(nu, z)) \
-        / math.sin(nu * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +265,7 @@ def phi_nu(order, r):
     Strictly decreasing on r >= 0 with values in (0, 1]; at nu = 1/2 it
     reduces to e^{-r}. Scalar or array r.
     """
-    nu = _order(order)
+    nu = float(order)
     if not (nu > 0.0):
         raise ValueError("phi_nu needs nu > 0, got %r" % (nu,))
     r_arr = np.asarray(r, dtype=float)

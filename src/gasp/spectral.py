@@ -13,137 +13,23 @@ each other:
                     Int e^{-i<x,xi>} K_{alpha,y}(x) dx over R^n (n <= 2),
                     which never touches the Bessel-K machinery at all.
 
-hankel_transform is the generic radial reduction
-    F(r) = (2 pi)^{n/2} r^{(2-n)/2} Int_0^inf f(s) s^{n/2} J_{(n-2)/2}(rs) ds
-backing the direct route's radial cousin and the demos.
+profile_ode_residual checks the closed-form profile against the reduced
+ODE it solves.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import QuadratureError, exp_sinh, integrate_lobes_rows, tanh_sinh
+from ._quadrature import (QuadratureError, exp_sinh, integrate_lobes_rows,
+                          lobe_edges, tanh_sinh)
 from .kernel import kernel_deriv_eval, kernel_mass, kernel_profile
-from .special_functions import EvalAccuracy, bessel_j, gamma_fn, phi_nu
+from .special_functions import EvalAccuracy, gamma_fn, phi_nu
 
 __all__ = [
-    "PolynomialDecay", "ExponentialDecay", "RadialProfile",
-    "kernel_radial_profile", "hankel_transform", "ft_closed_form",
-    "ft_integral_rep", "ft_direct", "profile_ode_residual",
+    "ft_closed_form", "ft_integral_rep", "ft_direct", "profile_ode_residual",
 ]
-
-
-@dataclass(frozen=True)
-class PolynomialDecay:
-    power: float
-
-
-@dataclass(frozen=True)
-class ExponentialDecay:
-    """Tail |f(s)| <= amplitude * e^{-rate s}; amplitude is a known bound."""
-
-    rate: float
-    amplitude: float = 1.0
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """A radial function s -> f(s) on [0, inf) with a declared tail class.
-
-    The declared decay is spot-checked at construction: a profile whose
-    samples outrun its own tail bound would silently break the oscillatory
-    quadrature's stopping rule, so it is rejected up front. The bound's
-    constant is set by the samples at s = 2 and 4, or by a larger declared
-    exponential amplitude (a prefactor only the far tail shows).
-    """
-
-    eval: object
-    decay_class: object
-
-    def __post_init__(self):
-        if isinstance(self.decay_class, PolynomialDecay):
-            tail = lambda s: s ** (-self.decay_class.power)
-        elif isinstance(self.decay_class, ExponentialDecay):
-            tail = lambda s: math.exp(-self.decay_class.rate * s)
-        else:
-            raise ValueError("decay_class must be PolynomialDecay or "
-                             "ExponentialDecay, got %r" % (self.decay_class,))
-        ref = max(abs(float(self.eval(2.0))), abs(float(self.eval(4.0))))
-        if ref == 0.0:
-            return
-        c = ref / min(tail(2.0), tail(4.0))
-        if isinstance(self.decay_class, ExponentialDecay):
-            c = max(c, self.decay_class.amplitude)
-        for s in (8.0, 32.0, 128.0):
-            if abs(float(self.eval(s))) > 100.0 * c * tail(s) + 1e-300:
-                raise ValueError(
-                    "profile sample at s=%g exceeds its declared %s tail"
-                    % (s, type(self.decay_class).__name__))
-
-
-def kernel_radial_profile(p, y=1.0):
-    """The kernel's radial profile as a RadialProfile (polynomial tail)."""
-    return RadialProfile(
-        eval=lambda s: kernel_profile(p, s, y),
-        decay_class=PolynomialDecay(p.alpha + p.n + 1.0))
-
-
-def _bessel_zero_gen(nu):
-    """McMahon zeros of J_nu, preceded by 0.
-
-    Lobe boundaries only need to straddle sign changes, so the three-term
-    McMahon expansion (error O(k^-5)) is plenty.
-    """
-    mu = 4.0 * nu * nu
-    yield 0.0
-    k = 1
-    while True:
-        beta = (k + 0.5 * nu - 0.25) * math.pi
-        yield beta - (mu - 1.0) / (8.0 * beta) \
-            - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
-        k += 1
-
-
-def hankel_transform(profile, n, r, acc=EvalAccuracy()):
-    """Radial Fourier transform of the profile in R^n, evaluated at r > 0.
-
-    Splits [0, inf) at the zeros of the oscillating Bessel factor and
-    accelerates the alternating lobe series; for polynomially decaying
-    profiles the tolerance is floored at 1e-6 (the series is logarithmically
-    expensive below that).
-    """
-    n = int(n)
-    r = float(r)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (r > 0.0):
-        raise ValueError("r must be > 0, got %r" % (r,))
-    tol = acc.rel_tol
-    if isinstance(profile.decay_class, PolynomialDecay):
-        tol = max(tol, 1e-6)
-    nu_j = 0.5 * (n - 2.0)
-    f = profile.eval
-    if isinstance(profile.decay_class, ExponentialDecay):
-        feature = 1.0 / profile.decay_class.rate
-    else:
-        feature = 1.0
-
-    def integrand(s):
-        return (f(s) * s ** (0.5 * n) * bessel_j(nu_j, r * s))[None, :]
-
-    def edges():
-        gen = _bessel_zero_gen(nu_j)
-        next(gen)  # the leading 0.0
-        first_zero = next(gen) / r
-        for e in _warmup_edges(first_zero, feature):
-            yield e
-        yield first_zero
-        for z in gen:
-            yield z / r
-
-    value, _err = integrate_lobes_rows(integrand, edges(), rel_tol=0.1 * tol)
-    return (2.0 * math.pi) ** (0.5 * n) * r ** (0.5 * (2.0 - n)) * value[0]
 
 
 def ft_closed_form(p, y, xi_norm):
@@ -179,21 +65,6 @@ def ft_integral_rep(p, y, xi_norm, acc=EvalAccuracy()):
     return b ** a2 * math.exp(-b) / gamma_fn(p.alpha + 1.0) * value
 
 
-def _warmup_edges(width, feature):
-    """Panel edges on [0, width) graded at the profile's feature scale.
-
-    When the first oscillation half-period is much wider than the profile's
-    own scale, a single Gauss panel cannot resolve the peak; geometric
-    subdivision restores full accuracy at negligible cost.
-    """
-    out = [0.0]
-    e = 0.25 * feature
-    while e < 0.75 * width:
-        out.append(e)
-        e *= 2.0
-    return out
-
-
 def _half_line_complex(profile_vec, freq, tol, feature=1.0):
     """Int_0^inf e^{-i s freq} g(s) ds by half-period complex lobes.
 
@@ -203,18 +74,11 @@ def _half_line_complex(profile_vec, freq, tol, feature=1.0):
     """
     width = math.pi / abs(freq)
 
-    def edges():
-        for e in _warmup_edges(width, feature):
-            yield e
-        k = 1
-        while True:
-            yield k * width
-            k += 1
-
     def f(s):
         return profile_vec(s) * np.exp(-1j * freq * s)[None, :]
 
-    vals, _err = integrate_lobes_rows(f, edges(), rel_tol=tol)
+    edges = lobe_edges((k * width for k in itertools.count(1)), feature)
+    vals, _err = integrate_lobes_rows(f, edges, rel_tol=tol)
     return vals
 
 

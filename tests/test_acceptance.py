@@ -232,14 +232,15 @@ def test_criterion_08_monte_carlo_laws():
                          dt=1e-3, y_stop=0.0, n_paths=n_ks,
                          master_seed=SEED, y_floor=1e-4)
 
-    rep_b0 = validate_boundary_law(boundary_cfg(0.0))
-    rep_b2 = validate_boundary_law(boundary_cfg(2.0))
+    # two worker threads change no byte (test_worker_pool_is_invisible)
+    rep_b0 = validate_boundary_law(boundary_cfg(0.0), workers=2)
+    rep_b2 = validate_boundary_law(boundary_cfg(2.0), workers=2)
 
     def hitting_rep(alpha, y, eta):
         cfg = SimConfig(p=ModelParams(alpha, 1),
                         start=HalfSpacePoint(x=(0.0,), y=y),
                         dt=1e-3, y_stop=eta, n_paths=n_ks, master_seed=SEED)
-        return validate_hitting_law(cfg, LevelPair(y, eta))
+        return validate_hitting_law(cfg, LevelPair(y, eta), workers=2)
 
     rep_h0 = hitting_rep(0.0, 2.0, 1.0)
     rep_h3 = hitting_rep(3.0, 2.0, 1.0)
@@ -248,7 +249,7 @@ def test_criterion_08_monte_carlo_laws():
     var_cfg = SimConfig(p=ModelParams(3.0, 1),
                         start=HalfSpacePoint(x=(0.0,), y=1.0),
                         dt=1e-3, y_stop=0.0, n_paths=200_000, master_seed=SEED)
-    xs = simulate_paths(var_cfg).samples[:, 0]
+    xs = simulate_paths(var_cfg, workers=2).samples[:, 0]
     var = float(np.var(xs))
     m4 = float(np.mean((xs - np.mean(xs)) ** 4))
     se = math.sqrt((m4 - var * var) / xs.size)

@@ -13,7 +13,6 @@ from gasp.hbm_sim import (
     simulate_paths,
     validate_boundary_law,
     validate_hitting_law,
-    y_marginal_samples,
 )
 from gasp.hitting import LevelPair, hitting_kernel
 from gasp.kernel import HalfSpacePoint, ModelParams
@@ -248,6 +247,27 @@ def test_level_mode_stop_times_positive():
     r = simulate_paths(cfg)
     assert np.all(r.stop_times > 0.0)
     assert np.all(np.isfinite(r.samples))
+
+
+def y_marginal_samples(cfg, t_final):
+    """Y at fixed time t_final (no stopping), one value per path.
+
+    The stepped log-space update has no discretization bias, so these
+    must be exactly lognormal: log Y_T ~ Normal(log y0 - mu T, T).  Each
+    path reads the normals that drive its walk in simulate_paths.
+    """
+    steps = int(round(t_final / cfg.dt))
+    if steps < 1:
+        raise ValueError("t_final must be at least one step")
+    sqrt_dt = math.sqrt(cfg.dt)
+    drift = cfg.mu * cfg.dt
+    log_y0 = math.log(cfg.start.y)
+    stream = hbm_sim._path_streams(cfg.master_seed)
+    out = np.empty(cfg.n_paths)
+    for i in range(cfg.n_paths):
+        z = stream(i).standard_normal(steps)
+        out[i] = log_y0 + float(np.sum(z)) * sqrt_dt - drift * steps
+    return np.exp(out)
 
 
 def test_y_marginal_is_exactly_lognormal():

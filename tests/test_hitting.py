@@ -61,7 +61,7 @@ def test_ft_bessel_quotient_value():
     assert v == pytest.approx(0.5518191617571635, rel=1e-13)
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0, 3.7])
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 2.0, 3.7, 10.0])
 def test_ft_exponential_tail_bound(alpha):
     # (y/eta)^{alpha+1} e^{-(y-eta)|xi|} dominates on [1, 40]
     p = ModelParams(alpha=alpha, n=1)
@@ -71,6 +71,15 @@ def test_ft_exponential_tail_bound(alpha):
     bound = (lv.y / lv.eta) ** (alpha + 1.0) * np.exp(-lv.gap * xi)
     assert np.all(f > 0.0)
     assert np.all(f <= bound)
+    # the sharp form at every s: sqrt(x) e^x K_nu(x) decreases for
+    # nu >= 1/2, so Q <= (y/eta)^{nu-1/2} e^{-gap s}; for nu < 1/2 the
+    # factor is 1. The lobe inversion's e^{-gap s} grading relies on it.
+    s = np.linspace(0.0, 128.0, 2049)
+    for y, eta in ((2.0, 1.0), (4.0, 0.1), (1.01, 1.0)):
+        lv = LevelPair(y=y, eta=eta)
+        amp = (y / eta) ** max(p.nu - 0.5, 0.0)
+        bound = amp * np.exp(-lv.gap * s) * (1.0 + 1e-12)
+        assert np.all(hitting_ft(p, lv, s) <= bound), (y, eta)
 
 
 def test_ft_survives_huge_arguments():
@@ -158,12 +167,28 @@ def test_fourier_side_semigroup_identity():
 
 
 def test_kernel_alpha_zero_is_cauchy():
-    p = ModelParams(alpha=0.0, n=1)
+    # at alpha = 0 the hitting law is the classical Poisson kernel at height
+    # gap, in every dimension; r = 0 takes the exp-sinh route, r > 0 the lobes
     lv = LevelPair(y=2.0, eta=0.5)
-    for x in (0.0, 0.3, 1.0, 3.0):
-        got = hitting_kernel(p, lv, x)
-        want = lv.gap / (math.pi * (x * x + lv.gap**2))
-        assert got == pytest.approx(want, rel=1e-10)
+    for n in (1, 2, 3):
+        p = ModelParams(alpha=0.0, n=n)
+        for x in (0.0, 0.3, 1.0, 3.0):
+            got = hitting_kernel(p, lv, x)
+            want = poisson_kernel(p, HalfSpacePoint(x=(x,) + (0.0,) * (n - 1),
+                                                    y=lv.gap))
+            assert got == pytest.approx(want, rel=1e-10), (n, x)
+
+
+def test_kernel_continuous_at_origin():
+    # r = 0 is integrated by exp-sinh, r > 0 by Bessel lobes: two routes
+    # that must meet
+    lv = LevelPair(y=2.0, eta=0.5)
+    for alpha in (0.0, 1.5, 3.0):
+        for n in (1, 2, 3):
+            p = ModelParams(alpha=alpha, n=n)
+            at_zero = hitting_kernel(p, lv, 0.0)
+            near = hitting_kernel(p, lv, 1e-6 * lv.gap)
+            assert near == pytest.approx(at_zero, rel=1e-9), (alpha, n)
 
 
 def test_kernel_radial_decreasing():
@@ -225,12 +250,11 @@ def test_kernel_rejects_bad_radius():
 
 
 def test_kernel_clips_small_negative(monkeypatch):
-    # the clip branch is hard to hit on demand; substitute a transform
+    # the clip branch is hard to hit on demand; substitute an inversion
     # that undershoots by less than the clip threshold
     p = ModelParams(alpha=0.0, n=1)
     lv = LevelPair(2.0, 1.0)
-    monkeypatch.setattr(
-        hitting_mod, "hankel_transform", lambda *a, **k: -5e-13)
+    monkeypatch.setattr(hitting_mod, "_invert_ft", lambda *a, **k: -5e-13)
     with pytest.warns(RuntimeWarning, match="clipped negative"):
         v = hitting_kernel(p, lv, 1.0)
     assert v == 0.0
@@ -241,7 +265,7 @@ def test_kernel_leaves_large_negative_alone(monkeypatch):
     # must reach the caller unmodified
     p = ModelParams(alpha=0.0, n=1)
     lv = LevelPair(2.0, 1.0)
-    monkeypatch.setattr(hitting_mod, "hankel_transform", lambda *a, **k: -0.5)
+    monkeypatch.setattr(hitting_mod, "_invert_ft", lambda *a, **k: -0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = hitting_kernel(p, lv, 1.0)

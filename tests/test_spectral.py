@@ -5,92 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasp.kernel import ModelParams
-from gasp.special_functions import EvalAccuracy
 from gasp.spectral import (
-    ExponentialDecay,
-    PolynomialDecay,
-    RadialProfile,
     ft_closed_form,
     ft_direct,
     ft_integral_rep,
-    hankel_transform,
-    kernel_radial_profile,
     profile_ode_residual,
 )
-
-
-def exp_profile():
-    return RadialProfile(eval=lambda s: np.exp(-np.asarray(s, dtype=float)),
-                         decay_class=ExponentialDecay(1.0))
-
-
-# ---------------------------------------------------------------------------
-# RadialProfile construction
-
-
-def test_radial_profile_rejects_wrong_decay_class():
-    # a polynomial tail declared as exponential must fail the spot check
-    with pytest.raises(ValueError):
-        RadialProfile(eval=lambda s: 1.0 / (1.0 + s * s),
-                      decay_class=ExponentialDecay(1.0))
-    with pytest.raises(ValueError):
-        RadialProfile(eval=lambda s: 1.0, decay_class="fast")
-
-
-def test_radial_profile_accepts_consistent_decay():
-    RadialProfile(eval=lambda s: 1.0 / (1.0 + s * s),
-                  decay_class=PolynomialDecay(2.0))
-    exp_profile()
-
-
-def test_radial_profile_declared_amplitude_covers_late_prefactor():
-    # bounded by 1e4 e^{-s}, but flat at s = 2 and 4 where the check calibrates
-    def f(s):
-        return min(1.0, 1e4 * math.exp(-s))
-
-    with pytest.raises(ValueError):
-        RadialProfile(eval=f, decay_class=ExponentialDecay(1.0))
-    RadialProfile(eval=f, decay_class=ExponentialDecay(1.0, amplitude=1e4))
-    with pytest.raises(ValueError):
-        RadialProfile(eval=lambda s: 1.0 / (1.0 + s * s),
-                      decay_class=ExponentialDecay(1.0, amplitude=1e4))
-
-
-# ---------------------------------------------------------------------------
-# hankel_transform
-
-
-def test_hankel_exponential_profile_n2():
-    # Int_0^inf e^{-s} s J_0(rs) ds = (1+r^2)^{-3/2}
-    for r in (0.3, 1.0, 2.5):
-        want = 2.0 * math.pi * (1.0 + r * r) ** -1.5
-        got = hankel_transform(exp_profile(), 2, r,
-                               EvalAccuracy(rel_tol=1e-10))
-        assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_hankel_kernel_profile_is_poisson_transform():
-    # alpha = 0, n = 1: the transform of the boundary profile is e^{-r}
-    p = ModelParams(0.0, 1)
-    prof = kernel_radial_profile(p, 1.0)
-    for r in (0.5, 1.0, 4.0):
-        got = hankel_transform(prof, 1, r)
-        assert got == pytest.approx(math.exp(-r), rel=1e-6)
-
-
-def test_hankel_small_r_approaches_mass():
-    p = ModelParams(1.0, 2)
-    prof = kernel_radial_profile(p, 1.0)
-    got = hankel_transform(prof, 2, 0.01)
-    assert got == pytest.approx(ft_closed_form(p, 1.0, 0.01), rel=1e-6)
-    assert 0.999 < got < 1.0
-
-
-def test_hankel_domain():
-    with pytest.raises(ValueError):
-        hankel_transform(exp_profile(), 2, 0.0)
-    with pytest.raises(ValueError):
-        hankel_transform(exp_profile(), 0, 1.0)
 
 
 # ---------------------------------------------------------------------------
