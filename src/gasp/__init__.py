@@ -74,7 +74,6 @@ from .kernel import (
 )
 from .special_functions import (
     EvalAccuracy,
-    bessel_j,
     gamma_fn,
     log_bessel_k,
     phi_nu,

@@ -463,8 +463,8 @@ def hitting_group():
 def hitting_kernel_cmd(s):
     p = _params(s)
     lv = LevelPair(y=float(s["y"]), eta=float(s["eta"]))
-    rows = [(radius, hitting_kernel(p, lv, radius))
-            for radius in _floats(s["r"], "r")]
+    radii = _floats(s["r"], "r")
+    rows = list(zip(radii, hitting_kernel(p, lv, np.array(radii)).tolist()))
     _emit(s,
           {"alpha": p.alpha, "n": p.n, "y": lv.y, "eta": lv.eta,
            "rows": [{"r": a, "G": b} for a, b in rows]},

@@ -288,14 +288,18 @@ def hitting_cdf(p: ModelParams, lv: LevelPair, acc=EvalAccuracy(rel_tol=1e-8)):
     edges = np.concatenate(
         [np.linspace(0.0, 4.0 * g, 33), np.geomspace(4.0 * g, 60.0 * g, 33)[1:]]
     )
-    pieces = panel_integrate(
-        lambda r: np.array([hitting_kernel(p, lv, float(t), acc) for t in r]),
-        edges,
-        order=4,
-    )
-    cum = np.concatenate([[0.0], np.cumsum(pieces)])  # int_0^edge
     r_max = edges[-1]
-    g_end = hitting_kernel(p, lv, r_max, acc)
+    end = []
+
+    def density(r):
+        # one array call covers the panel nodes and the last edge
+        g = hitting_kernel(p, lv, np.append(r, r_max), acc)
+        end.append(g[-1])
+        return g[:-1]
+
+    pieces = panel_integrate(density, edges, order=4)
+    cum = np.concatenate([[0.0], np.cumsum(pieces)])  # int_0^edge
+    g_end = end[0]
     # G(r) ~ C r^-(alpha+n+1) with n = 1, from the s^(2 nu) term of the
     # Bessel quotient
     p_exp = p.alpha + 2.0

@@ -4,28 +4,38 @@ For the process generated by the weighted operator, started on the level
 ``y`` and stopped on first contact with a lower level ``eta``, the hitting
 position has a density ``G`` on R^n whose Fourier transform is the quotient
 
-    G^(xi) = (y/eta)^nu K_nu(y|xi|) / K_nu(eta|xi|),      nu = (alpha+1)/2.
+    Q(s) = (y/eta)^nu K_nu(y s) / K_nu(eta s),   s = |xi|,   nu = (alpha+1)/2.
 
 The quotient is evaluated in log space so that both Bessel factors can be
-taken far past the range where K_nu itself underflows.  The physical
-density comes from Hankel inversion of the quotient, one lobe sum between
-the zeros of the Bessel factor (an exp-sinh rule at r = 0), and the
+taken far past the range where K_nu itself underflows.  K_nu has no zeros
+in Re s > 0, so Q is analytic there, and the density inverts it along the
+ray s = t e^{i pi/4}, where nothing oscillates: one evaluation of Q serves
+every radius of a call.  At odd n the Bessel factor J_{n/2-1}(rs) is Re of
+e^{irs} times a polynomial in 1/(rs) (at n = 1, G(r) = (1/pi) Re Int Q(s)
+e^{irs} ds); at even n Poisson's integral J_m(z) ~ z^m Int_0^pi sin^{2m}th
+cos(z cos th) dth (DLMF 10.9.4) makes each radius the ray transform of
+Q s^{n-1} at the frequencies r cos th_j, summed by the trapezoid rule in th.
+For alpha >= 0 the ray carries Q minus phi_nu(c s), the transform of the
+closed-form kernel at the height c = (y^{2 nu} - eta^{2 nu})^{1/(2 nu)}, which
+shares the s^{2 nu} term behind the algebraic tail of G and is added back
+in closed form (at alpha = 0, c = y - eta and it is all of G).  The
 semigroup property G_{y,eta1} = G_{y,eta2} * G_{eta2,eta1} is checked by
 discrete convolution on a user-supplied grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import exp_sinh, integrate_lobes_rows, lobe_edges
+from ._quadrature import QuadratureError
 from .boundary_data import Grid, radius_sq
-from .kernel import ModelParams, unit_sphere_area
-from .special_functions import EvalAccuracy, bessel_j, log_bessel_k
+from .kernel import ModelParams, kernel_profile, unit_sphere_area
+from .special_functions import EvalAccuracy, _lgamma_pos, log_bessel_k
 
 
 @dataclass(frozen=True)
@@ -71,13 +81,10 @@ def hitting_ft(p: ModelParams, levels: LevelPair, xi_norm):
 
     Notes
     -----
-    Both Bessel factors are evaluated through their logarithms, so the
-    quotient survives arguments far beyond the underflow point of K_nu
-    itself.  For ``s`` so large that even the log-space difference drops
-    below -745 the result underflows to an exact 0.0, which is the correct
-    double rounding of the true value.  At the other end, where ``eta s``
-    falls below the normal double range, the two-term small-argument form
-    of K_nu is used instead, so subnormal ``s`` stays in (0, 1] as well.
+    Past the log-space difference -745 the result underflows to an exact
+    0.0, the correct rounding; where ``eta s`` falls below the normal
+    double range the two-term small-argument form of K_nu takes over, so
+    subnormal ``s`` stays in (0, 1] as well.
     """
     xi = np.asarray(xi_norm, dtype=float)
     if xi.size and (not np.all(np.isfinite(xi)) or np.any(xi < 0)):
@@ -121,97 +128,201 @@ def _small_arg_ft(nu, levels, s):
     return np.minimum(one_minus_r_y / one_minus_r_eta, 1.0)
 
 
-def _bessel_zero_gen(nu):
-    """McMahon zeros of J_nu, from the first.
+# The ray rule: t = exp(tau - e^{-tau}) / (3 w cos phi) on tau = k * step,
+# w = gap (or c/3 if larger), nodes thinning out double exponentially
+# towards 0 and inf. tau runs from t w cos phi ~ 3e-8 (1e-16 without the
+# far field, whose remainder falls like s^2) to where Q <= (y/eta)^{nu-1/2}
+# e^{-gap s} (sqrt(z) e^z K_nu(z) falls for nu > 1/2) is below e^{-44}; the
+# scale packs nodes inside the decay length of Q, where the tails of large
+# radii live. Each level halves the step of the one before and adds the
+# nodes between; level 0 compares with its own even nodes.
+_RAY = cmath.exp(0.25j * math.pi)
+_STEP = 1.0 / 24.0
+_LEVELS = 3
 
-    Lobe boundaries only need to straddle sign changes, so the three-term
-    McMahon expansion (error O(k^-5)) is plenty.
+
+def _ray_quotient(p, levels, level):
+    """Ray nodes s new at ``level``, ds / d tau, and Q(s) minus the far field.
+
+    Returns the height c of the far-field kernel too (None for alpha < 0,
+    where c < gap and phi_nu(c s) would outlast Q on the ray).
     """
-    mu = 4.0 * nu * nu
-    k = 1
-    while True:
-        beta = (k + 0.5 * nu - 0.25) * math.pi
-        yield beta - (mu - 1.0) / (8.0 * beta) \
-            - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
-        k += 1
+    nu, far, c = p.nu, p.nu >= 0.5, None
+    width = levels.gap
+    if far:
+        c = levels.y * math.exp(
+            math.log1p(-(levels.eta / levels.y) ** (2.0 * nu)) / (2.0 * nu))
+        # phi_nu(c s) decays on the scale 1/c, which the nodes must resolve
+        width = max(width, c / 3.0)
+    hi = math.log(3.0 * width / levels.gap * (
+        44.0 + max(nu - 0.5, 0.0) * math.log(levels.y / levels.eta))) + 0.01
+    k = np.arange(2 ** (level + 1) * math.floor(0.5 * (-2.6 if far else -3.5) / _STEP),
+                  2 ** (level + 1) * math.ceil(0.5 * hi / _STEP) + 1)
+    tau = _STEP / 2 ** level * (k[k % 2 == 1] if level else k)
+    t = np.exp(tau - np.exp(-tau)) / (3.0 * width * _RAY.real)
+    s = t * _RAY
+    ds = t * (1.0 + np.exp(-tau)) * _RAY
+    m = t.size
+    args = [levels.y * s, levels.eta * s] + ([c * s] if far else [])
+    log_k = log_bessel_k(nu, np.concatenate(args))
+    q = np.exp(nu * (math.log(levels.y) - math.log(levels.eta))
+               + log_k[:m] - log_k[m:2 * m])
+    if far:
+        q -= np.exp((1.0 - nu) * math.log(2.0) + nu * np.log(c * s)
+                    + log_k[2 * m:] - _lgamma_pos(nu))
+    return s, ds, q, c
 
 
-def _invert_ft(p, levels, r, acc):
-    """(2 pi)^{n/2} r^{(2-n)/2} Int_0^inf Q(s) s^{n/2} J_{(n-2)/2}(rs) ds.
+def _rows(n, radii, gap):
+    """Ray transforms whose real parts sum to the density at each radius.
 
-    The radial inverse Fourier transform of the quotient Q = hitting_ft,
-    times (2 pi)^n, at r > 0. Lobes end at the zeros of the Bessel factor;
-    Q falls like e^{-gap s}, so the first lobe is graded at scale 1/gap.
+    Row i stands for coef_i Re Int Q(s) s^{power_i} E_i(freq_i s) ds, with
+    E(x) = e^{ix} minus its Taylor polynomial of degree ``degree_i`` (none
+    at -1); ``owner`` maps rows to radii, and ``coarse`` reweights rows
+    into the rule in theta at twice the step (even n).
     """
-    nu_j = 0.5 * (p.n - 2.0)
+    blocks = []
+    for i, r in enumerate(radii):
+        if r == 0.0:
+            blocks.append((0.0, unit_sphere_area(n) / (2.0 * math.pi) ** n,
+                           n - 1, 1.0, -1))
+        elif n % 2:
+            # J_{l+1/2}(x) = Re sqrt(2x/pi) e^{ix} sum_j i^{j-l-1} a_j x^{-j-1}
+            # (DLMF 10.49.6), a_j = (l+j)! / (2^j j! (l-j)!); n = 1 is
+            # J_{-1/2}(x) = Re sqrt(2/(pi x)) e^{ix}. Inside one gap the rows
+            # drop the Taylor terms of e^{ix} that carry the negative powers
+            # of r, which cancel across j: no row then blows up as r -> 0.
+            l = (n - 3) // 2
+            j = np.arange(max(l, 0) + 1)
+            a = np.array([math.factorial(l + k) / math.factorial(l - k)
+                          / math.factorial(k) for k in j]) if n > 1 else 1.0
+            blocks.append((r, (2.0 * math.pi) ** (-0.5 * n) * math.sqrt(2.0 / math.pi)
+                           * a * 0.5 ** j * 1j ** (j - l - 1) * r ** (-l - 1.0 - j),
+                           l + 1 - j, 1.0, np.where(r < gap, l + j, -1)))
+        else:
+            # theta_j = j pi / N on [0, pi/2], folded from [0, pi]; the
+            # integrand varies on the scale gap / r in theta
+            count = 4 * math.ceil(16.0 * max(r / gap, 0.5))
+            j = np.arange(count // 2 + 1)
+            th = j * math.pi / count
+            w = np.where((j > 0) & (j < count // 2), 2.0, 1.0) * math.pi / count
+            blocks.append((r * np.cos(th), (2.0 * math.pi) ** (-0.5 * n)
+                           * 2.0 ** (1.0 - 0.5 * n) * w * np.sin(th) ** (n - 2)
+                           / (math.gamma(0.5 * (n - 1)) * math.sqrt(math.pi)),
+                           n - 1, np.where(j % 2, 0.0, 2.0), -1))
+    rows = [np.broadcast_arrays(i, *b) for i, b in enumerate(blocks)]
+    return (np.concatenate([np.ravel(v[k]) for v in rows]) for k in range(6))
 
-    def integrand(s):
-        return (hitting_ft(p, levels, s) * s ** (0.5 * p.n)
-                * bessel_j(nu_j, r * s))[None, :]
 
-    edges = lobe_edges((z / r for z in _bessel_zero_gen(nu_j)), 1.0 / levels.gap)
-    value, _err = integrate_lobes_rows(integrand, edges, rel_tol=0.1 * acc.rel_tol)
-    return (2.0 * math.pi) ** (0.5 * p.n) * r ** (0.5 * (2.0 - p.n)) * value[0]
+def _exp_tail(x, degree):
+    """e^{ix} minus its Taylor polynomial of the given degree (-1: none)."""
+    ix, out = 1j * x, np.exp(1j * x)
+    if np.any(degree >= 0):
+        term, series = np.ones_like(ix), np.zeros_like(ix)
+        for q in range(int(np.max(degree)) + 31):
+            out = out - np.where(q <= degree, term, 0.0)
+            series = series + np.where((q > degree) & (q <= degree + 30), term, 0.0)
+            term = term * ix / (q + 1)
+        # below |x| = 1 the tail's own series, free of cancellation
+        out = np.where((np.abs(x) < 1.0) & (degree >= 0), series, out)
+    return out
+
+
+def _invert(p, levels, radii, acc):
+    """Density and error estimate at each radius (1-D array).
+
+    The estimate adds the gap to the ray rule at twice the step, the gap to
+    the theta rule at twice the step (even n) and the rounding bound
+    eps * sum |terms| of the ray sums. Each radius takes the first level
+    whose estimate meets ``acc``, so its bits do not depend on the others.
+    """
+    owner, freq, coef, power, coarse, degree = _rows(p.n, radii, levels.gap)
+
+    def per_radius(v):
+        return np.bincount(owner, weights=v, minlength=radii.size)
+
+    sums = np.zeros((3, freq.size))
+    value, error = np.zeros(radii.size), np.full(radii.size, np.inf)
+    for level in range(_LEVELS):
+        s, ds, q, c = _ray_quotient(p, levels, level)
+        base = np.array([q * ds * s ** j for j in range(p.n)])
+        for lo in range(0, freq.size, 2048):
+            rows = slice(lo, lo + 2048)
+            terms = (coef[rows, None] * base[power[rows]]
+                     * _exp_tail(freq[rows, None] * s, degree[rows, None]))
+            sums[0, rows] += np.sum(terms.real, axis=1)
+            sums[1, rows] = np.sum(terms.real[:, ::2], axis=1)
+            sums[2, rows] += np.sum(np.abs(terms), axis=1)
+        step = _STEP / 2 ** level
+        fine = per_radius(step * sums[0])
+        old = per_radius(2.0 * step * sums[1]) if not level else prev
+        prev = fine
+        far = kernel_profile(p, radii, c) if c is not None else 0.0
+        new = (np.abs(fine - old) + np.abs(fine - per_radius(coarse * step * sums[0]))
+               + 8.0 * np.finfo(float).eps * per_radius(step * sums[2]))
+        take = (error > acc.rel_tol * np.abs(value) + acc.abs_tol) \
+            & ((new <= acc.rel_tol * np.abs(fine + far) + acc.abs_tol)
+               | (level == _LEVELS - 1))
+        value[take], error[take] = (fine + far)[take], new[take]
+        if not np.any(error > acc.rel_tol * np.abs(value) + acc.abs_tol):
+            break
+    return value, error
 
 
 def hitting_kernel(p: ModelParams, levels: LevelPair, x_norm, acc=EvalAccuracy()):
-    """Hitting density at radius ``x_norm`` via Hankel inversion.
+    """Hitting density at the radii ``x_norm``, by inversion along a ray.
 
     Parameters
     ----------
     p : ModelParams
     levels : LevelPair
-    x_norm : float
-        Nonnegative spatial radius.
+    x_norm : float or array_like
+        Nonnegative spatial radii. An array call evaluates the quotient
+        once for all of them and returns the bits of the scalar calls.
     acc : EvalAccuracy
-        Quadrature targets; ``acc.abs_tol`` also bounds how much negative
-        undershoot from the oscillatory inversion may be clipped to zero.
+        Error target per radius: rel_tol * |G| + abs_tol. ``acc.abs_tol``
+        also bounds how much negative undershoot may be clipped to zero.
 
     Returns
     -------
-    float
-        Density value, nonnegative up to quadrature noise.  Small negative
-        results (within ``max(acc.abs_tol, 1e-12)``) are clipped to 0.0 and
-        reported through a RuntimeWarning.  At r > 0 the value can miss
-        ``acc.rel_tol`` by orders of magnitude when alpha is small: at
-        n = 1, levels 2 -> 1 and r in {0.5, 2, 6} the relative error is up
-        to 3.2e-5 at alpha = -0.9, 5.3e-6 at alpha = -0.5 and 9.5e-9 at
-        alpha = 0.5, most likely because the first Gauss panel does not
-        resolve the s^(2 nu) cusp of the quotient at s = 0.  Tail densities
-        at large alpha miss it too (2.3e-10 at alpha = 30, r = 2).
+    float or ndarray
+        Density values. A radius whose error estimate misses the target
+        raises QuadratureError: tail densities far below the quotient's
+        scale (alpha = 10 at r = 16 gaps, say) cannot be resolved in double
+        precision, nor can even n far out, where Poisson's integral
+        cancels (n = 4 from about 10 gaps). Small negative results (within
+        ``max(acc.abs_tol, 1e-12)``) are clipped to 0.0 and reported
+        through a RuntimeWarning, one per radius.
     """
-    r = float(x_norm)
-    if not (math.isfinite(r) and r >= 0.0):
+    r = np.asarray(x_norm, dtype=float)
+    if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):
         raise ValueError(f"x_norm must be finite and nonnegative, got {x_norm!r}")
-
-    if r == 0.0:
-        # No oscillation at the origin: (2 pi)^{-n} omega_{n-1} int ft s^{n-1} ds.
-        radial, _ = exp_sinh(
-            lambda s: hitting_ft(p, levels, s) * s ** (p.n - 1),
-            scale=1.0 / levels.gap,
-            rel_tol=acc.rel_tol,
+    if not r.size:
+        return np.empty(r.shape)
+    value, error = _invert(p, levels, r.ravel(), acc)
+    miss = error > acc.rel_tol * np.abs(value) + acc.abs_tol
+    if np.any(miss):
+        i = int(np.argmax(miss))
+        raise QuadratureError(
+            "hitting density at r=%g: error estimate %.2e misses rel_tol=%.1e"
+            % (r.ravel()[i], error[i], acc.rel_tol),
+            value=value[i], error_estimate=float(error[i]))
+    clip = (value < 0.0) & (value >= -max(acc.abs_tol, 1e-12))
+    for i in np.nonzero(clip)[0]:
+        warnings.warn(
+            f"clipped negative hitting density {value[i]:.3e} at r={r.ravel()[i]:g} to 0",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        return unit_sphere_area(p.n) * radial / (2.0 * math.pi) ** p.n
-
-    value = _invert_ft(p, levels, r, acc) / (2.0 * math.pi) ** p.n
-    if value < 0.0:
-        clip = max(acc.abs_tol, 1e-12)
-        if -value <= clip:
-            warnings.warn(
-                f"clipped negative hitting density {value:.3e} at r={r:g} to 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 0.0
-    return value
+    value[clip] = 0.0
+    return float(value[0]) if r.ndim == 0 else value.reshape(r.shape)
 
 
 def _radial_table(p, levels, radii, acc):
-    """Evaluate the hitting density on a set of radii, caching duplicates."""
+    """Evaluate the hitting density on a set of radii, once per distinct one."""
     flat = np.asarray(radii, dtype=float).ravel()
     uniq, inverse = np.unique(flat, return_inverse=True)
-    vals = np.array([hitting_kernel(p, levels, r, acc) for r in uniq])
-    return vals[inverse].reshape(np.shape(radii))
+    return hitting_kernel(p, levels, uniq, acc)[inverse].reshape(np.shape(radii))
 
 
 def semigroup_check(

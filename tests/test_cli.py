@@ -201,6 +201,29 @@ def test_hitting_kernel_large_alpha_exits_0(runner):
     assert g[0] > g[1] > g[2] > 0.0
 
 
+# mpmath at 60 digits: the quotient minus the far-field kernel's
+# transform along the same ray, plus that kernel in closed form
+_TAIL_DENSITIES = {("30", "16"): 1.0128797912950228e-29,
+                   ("30", "64"): 7.3884076891795205e-49,
+                   ("10", "16"): 8.2935167565567032e-12}
+
+
+@pytest.mark.parametrize("alpha,radius", sorted(_TAIL_DENSITIES))
+def test_hitting_kernel_tail_is_right_or_exits_3(runner, alpha, radius):
+    # a tail density far below the quotient's scale must come out within
+    # rel_tol or end in exit 3 with a JSON error, never as a wrong value
+    result = runner.invoke(main, ["hitting", "kernel", "--alpha", alpha,
+                                  "--n", "1", "--y", "2", "--eta", "1",
+                                  "--r", radius])
+    if result.exit_code == 0:
+        got = float(result.output.strip().splitlines()[1].split(",")[1])
+        want = _TAIL_DENSITIES[alpha, radius]
+        assert abs(got - want) <= 1e-10 * want, got
+    else:
+        assert result.exit_code == 3, result.output
+        assert _stderr_doc(result)["error"] == "nonconvergence"
+
+
 def test_hitting_semigroup_report(runner):
     result = runner.invoke(main, ["hitting", "semigroup", "--alpha", "0",
                                   "--n", "1", "--y", "3", "--eta2", "2",
@@ -344,17 +367,9 @@ _TABLE_ARGS = {
 }
 
 
-def _cauchy_hitting_cdf(p, lv, acc):
-    # the exact n = 1, alpha = 0 hitting law, in place of the quadrature
-    # table that takes seconds to build
-    assert p.alpha == 0.0 and p.n == 1
-    return lambda x: 0.5 + np.arctan(np.asarray(x) / lv.gap) / math.pi
-
-
 @pytest.mark.parametrize("command", sorted(_DEFAULTS))
 def test_every_table_parameter_reaches_its_command(command, runner, tent_file,
-                                                   tmp_path, monkeypatch):
-    monkeypatch.setattr("gasp.hbm_sim.hitting_cdf", _cauchy_hitting_cdf)
+                                                   tmp_path):
     table = _DEFAULTS[command]
     args = {k: v.format(data=tent_file, samples=str(tmp_path / "samples.csv"))
             for k, v in _TABLE_ARGS[command].items()}

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasp.hitting as hitting_mod
-from gasp._quadrature import gauss_legendre
+from gasp._quadrature import QuadratureError, gauss_legendre
 from gasp.boundary_data import Grid
 from gasp.hitting import LevelPair, hitting_ft, hitting_kernel, semigroup_check
 from gasp.kernel import HalfSpacePoint, ModelParams, poisson_kernel
 from gasp.special_functions import EvalAccuracy
+from lobe_oracle import lobe_density
 
 
 # ---------------------------------------------------------------- LevelPair
@@ -168,7 +169,8 @@ def test_fourier_side_semigroup_identity():
 
 def test_kernel_alpha_zero_is_cauchy():
     # at alpha = 0 the hitting law is the classical Poisson kernel at height
-    # gap, in every dimension; r = 0 takes the exp-sinh route, r > 0 the lobes
+    # gap, in every dimension; there the far-field kernel is all of G and
+    # the ray carries only rounding
     lv = LevelPair(y=2.0, eta=0.5)
     for n in (1, 2, 3):
         p = ModelParams(alpha=0.0, n=n)
@@ -180,8 +182,8 @@ def test_kernel_alpha_zero_is_cauchy():
 
 
 def test_kernel_continuous_at_origin():
-    # r = 0 is integrated by exp-sinh, r > 0 by Bessel lobes: two routes
-    # that must meet
+    # r = 0 is one moment of the quotient, r > 0 a Bessel transform (a
+    # Poisson integral over theta at even n): routes that must meet
     lv = LevelPair(y=2.0, eta=0.5)
     for alpha in (0.0, 1.5, 3.0):
         for n in (1, 2, 3):
@@ -254,7 +256,8 @@ def test_kernel_clips_small_negative(monkeypatch):
     # that undershoots by less than the clip threshold
     p = ModelParams(alpha=0.0, n=1)
     lv = LevelPair(2.0, 1.0)
-    monkeypatch.setattr(hitting_mod, "_invert_ft", lambda *a, **k: -5e-13)
+    monkeypatch.setattr(hitting_mod, "_invert", lambda p, lv, r, acc: (
+        np.full(r.shape, -5e-13), np.zeros(r.shape)))
     with pytest.warns(RuntimeWarning, match="clipped negative"):
         v = hitting_kernel(p, lv, 1.0)
     assert v == 0.0
@@ -265,11 +268,12 @@ def test_kernel_leaves_large_negative_alone(monkeypatch):
     # must reach the caller unmodified
     p = ModelParams(alpha=0.0, n=1)
     lv = LevelPair(2.0, 1.0)
-    monkeypatch.setattr(hitting_mod, "_invert_ft", lambda *a, **k: -0.5)
+    monkeypatch.setattr(hitting_mod, "_invert", lambda p, lv, r, acc: (
+        np.full(r.shape, -0.5), np.zeros(r.shape)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = hitting_kernel(p, lv, 1.0)
-    assert v == -0.5 / (2.0 * math.pi)
+    assert v == -0.5
 
 
 def test_kernel_accepts_accuracy():
@@ -278,6 +282,117 @@ def test_kernel_accepts_accuracy():
     v = hitting_kernel(p, lv, 0.7, acc=EvalAccuracy(rel_tol=1e-8))
     want = lv.gap / (math.pi * (0.49 + lv.gap**2))
     assert v == pytest.approx(want, rel=1e-7)
+
+
+def test_kernel_array_is_bitwise_its_scalar_calls():
+    # one quotient evaluation serves the array; each radius keeps its own
+    # rows and row sums, so no bit depends on the other radii
+    lv = LevelPair(2.0, 0.75)
+    radii = np.array([0.0, 1e-7, 0.3, 0.3, 1.0, 2.5, 4.0, 7.0])
+    for alpha, n in ((0.0, 1), (1.5, 1), (3.0, 2), (-0.5, 3), (1.5, 4), (0.5, 5)):
+        p = ModelParams(alpha, n)
+        arr = hitting_kernel(p, lv, radii)
+        assert arr.tolist() == [hitting_kernel(p, lv, float(r)) for r in radii]
+        assert np.array_equal(hitting_kernel(p, lv, radii.reshape(2, 4)),
+                              arr.reshape(2, 4))
+
+
+def test_kernel_clips_per_radius(monkeypatch):
+    p = ModelParams(alpha=0.0, n=1)
+    lv = LevelPair(2.0, 1.0)
+    monkeypatch.setattr(hitting_mod, "_invert", lambda p, lv, r, acc: (
+        np.array([-5e-13, 0.1, -0.5, -2e-13]), np.zeros(r.shape)))
+    with pytest.warns(RuntimeWarning, match="clipped negative") as caught:
+        v = hitting_kernel(p, lv, [1.0, 2.0, 3.0, 4.0])
+    assert v.tolist() == [0.0, 0.1, -0.5, 0.0]
+    assert sorted(str(w.message).split("r=")[1] for w in caught) \
+        == ["1 to 0", "4 to 0"]
+
+
+# Large-alpha densities at levels 2 -> 1, n = 1, from mpmath (the quotient
+# along the ray at 40 digits, and with the far-field kernel split off at
+# 60); the lobe route missed alpha = 30 by 2.3e-10
+_FROZEN = {(10.0, 6.0): 5.30998745771988e-7, (30.0, 2.0): 5.28296442552213e-6}
+
+
+@pytest.mark.parametrize("alpha,r", sorted(_FROZEN))
+def test_kernel_frozen_values(alpha, r):
+    got = hitting_kernel(ModelParams(alpha, 1), LevelPair(2.0, 1.0), r)
+    assert abs(got - _FROZEN[alpha, r]) <= 1e-10 * _FROZEN[alpha, r]
+
+
+# Levels 2 -> 1 at r = 0, 0.5, 2, 6, 16, from mpmath at 32-40 digits: the
+# quotient along the ray, inverted with hankel1 (or with the far-field
+# kernel split off, which gave the same 17 digits). The lobe route missed
+# alpha = -0.9, -0.5 and 0.5 at n = 1 by up to 3.2e-5.
+_MPMATH = {
+    (-0.9, 1): (0.24777938065807764, 0.20006618619439553, 0.054498857414449875,
+               0.0093010680988445039, 0.0019208589753281496),
+    (-0.9, 2): (0.12033277142207934, 0.086601874882391746, 0.011476915443086651,
+               0.00068389359816433927, 5.0949069592922865e-5),
+    (-0.9, 3): (0.075788420329897328, 0.048708966180748907, 0.0031846225821860988,
+               6.7813451780673751e-5, 1.860619285087266e-6),
+    (-0.5, 1): (0.28015420028155788, 0.22566057924762483, 0.060096392641839636,
+               0.0096345014335407172, 0.0018020462737841221),
+    (-0.5, 2): (0.13712833254752682, 0.098547626644907702, 0.012870026833014963,
+               0.00073217648548808146, 5.0298921263050474e-5),
+    (-0.5, 3): (0.08660046117827882, 0.055600386294728727, 0.0035949718600656547,
+               7.3664892045710165e-5, 1.88111170763133e-6),
+    (0.0, 1): (0.31830988618379067, 0.25464790894703254, 0.063661977236758134,
+               0.0086029698968592073, 0.001238559868419419),
+    (0.0, 2): (0.15915494309189534, 0.11388200694674833, 0.014235250868343541,
+               0.00070715976943106387, 3.8629620946294633e-5),
+    (0.0, 3): (0.10132118364233777, 0.064845557531096174, 0.0040528473456935109,
+               7.4011091046265721e-5, 1.5340305476591284e-6),
+    (0.5, 1): (0.35375676229943497, 0.28021556208669526, 0.063991441356196321,
+               0.0068068983428781305, 0.00068809686563380892),
+    (0.5, 2): (0.18205126425529337, 0.12938161175019532, 0.015113238410173524,
+               0.0006125376111736372, 2.4098470881556729e-5),
+    (0.5, 3): (0.11732561596527054, 0.074704843884040576, 0.0044230542236089618,
+               6.7562895052538026e-5, 1.0288041320151747e-6),
+    (1.5, 1): (0.41768122849049339, 0.32250049890553204, 0.058473817994024241,
+               0.0034228932277144111, 0.0001490457852068938),
+    (1.5, 2): (0.22964061512063747, 0.16007304323661321, 0.015486040067121084,
+               0.00036487790871706456, 6.3395212602685367e-6),
+    (1.5, 3): (0.15293859981682307, 0.095904304388319174, 0.0048490679425184937,
+               4.5101970699507113e-5, 3.1079354958208672e-7),
+    (3.0, 1): (0.50058544844760903, 0.36908125269640131, 0.044311911732190198,
+               0.00091157922834741671, 9.9391964384047343e-6),
+    (3.0, 2): (0.30376629203161127, 0.2037224189717427, 0.013674706533339787,
+               0.00011861435879972829, 5.193005570039379e-7),
+    (3.0, 3): (0.21453248859754915, 0.13022942413219754, 0.0047617036631926543,
+               1.7094420359068758e-5, 2.9967996907470787e-8),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted({a for a, _ in _MPMATH}))
+def test_kernel_matches_mpmath_grid(alpha):
+    lv = LevelPair(2.0, 1.0)
+    for n in (1, 2, 3):
+        got = hitting_kernel(ModelParams(alpha, n), lv,
+                             np.array([0.0, 0.5, 2.0, 6.0, 16.0]))
+        assert np.max(np.abs(got / np.array(_MPMATH[alpha, n]) - 1.0)) <= 1e-10, n
+
+
+def test_kernel_far_tail_meets_rel_tol_or_raises():
+    # 8.2935167565567e-12 (mpmath): 16 gaps out at alpha = 10 the density
+    # sits far below the quotient's scale; the lobe route returned it 1.4e-5
+    # off without a word
+    try:
+        got = hitting_kernel(ModelParams(10.0, 1), LevelPair(2.0, 1.0), 16.0)
+    except QuadratureError:
+        return
+    assert abs(got - 8.2935167565567e-12) <= 1e-10 * 8.2935167565567e-12
+
+
+@pytest.mark.parametrize("alpha,n", [(1.5, 1), (3.0, 1), (1.5, 2), (3.0, 2)])
+def test_kernel_matches_lobe_route(alpha, n):
+    # the old Hankel inversion between the zeros of J, independent of the
+    # ray, complex Bessel-K and the far-field kernel
+    p, lv = ModelParams(alpha, n), LevelPair(2.0, 0.75)
+    for r in (0.4, 1.5, 3.0):
+        assert hitting_kernel(p, lv, r) == pytest.approx(
+            lobe_density(p, lv, r), rel=1e-9), r
 
 
 # ---------------------------------------------------------- semigroup_check

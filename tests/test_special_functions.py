@@ -14,11 +14,11 @@ from gasp import special_functions
 from gasp._quadrature import QuadratureError, _de_params, _exp_sinh_xw
 from gasp.special_functions import (
     EvalAccuracy,
-    bessel_j,
     gamma_fn,
     log_bessel_k,
     phi_nu,
 )
+from lobe_oracle import bessel_j
 
 
 def rel(a, b):
@@ -367,6 +367,41 @@ def test_log_bessel_k_array_is_bitwise_its_scalar_calls():
         assert arr.tolist() == [log_bessel_k(nu, float(v)) for v in z], nu
         assert np.array_equal(log_bessel_k(nu, z[:42].reshape(6, 7)),
                               arr[:42].reshape(6, 7))
+
+
+@pytest.mark.parametrize("nu", [0.25, 1.25, 5.5, 15.5])
+def test_complex_log_bessel_k_matches_scipy_kve(nu):
+    # off the real axis the rule's strip narrows to pi/2 - |ph z|, and
+    # above nu = 3/2 the order recurrence carries the value
+    special = pytest.importorskip("scipy.special")
+    rho = np.geomspace(1e-12, 1e3, 40)
+    for ph in np.pi * np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]) / 8.0:
+        z = rho * np.exp(1j * ph)
+        got = log_bessel_k(nu, z)
+        want = np.log(special.kve(nu, z)) - z
+        assert np.max(np.abs(np.expm1(got - want))) < 5e-13, ph
+
+
+def test_complex_log_bessel_k_on_the_real_axis_is_the_real_one():
+    z = np.geomspace(1e-8, 1e3, 23)
+    for nu in (0.3, 1.0, 2.5, 9.0):
+        got = log_bessel_k(nu, z + 0j)
+        assert np.max(np.abs(got.imag)) < 1e-12
+        assert np.max(_log_rel(got.real, log_bessel_k(nu, z))) < 1e-14, nu
+
+
+def test_complex_log_bessel_k_array_is_bitwise_its_scalar_calls():
+    z = np.geomspace(1e-9, 300.0, 19) * np.exp(0.25j * np.pi)
+    z = np.concatenate([z, [1e-3 + 2e-3j, 7.0 - 5.0j, 40.0 + 1j]])
+    for nu in (0.5, 1.25, 4.0, 15.5):
+        arr = log_bessel_k(nu, z)
+        assert arr.tolist() == [log_bessel_k(nu, complex(v)) for v in z], nu
+
+
+def test_complex_log_bessel_k_domain():
+    for z in (-1.0 + 1.0j, 0.0 + 1.0j, complex(math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            log_bessel_k(1.0, z)
 
 
 def test_log_bessel_k_extreme_arguments_are_finite():
