@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._quadrature import tanh_sinh
-from .special_functions import EvalAccuracy, gamma_fn
+from .special_functions import EvalAccuracy, _lgamma_ratio, gamma_fn
 
 __all__ = [
     "ModelParams", "HalfSpacePoint", "MultiIndex", "unit_sphere_area",
@@ -58,8 +58,14 @@ class ModelParams:
             raise ValueError("n must be a positive integer, got %r" % (self.n,))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", n)
-        c = gamma_fn(0.5 * (alpha + n + 1.0)) \
-            / (gamma_fn(0.5 * (alpha + 1.0)) * math.pi ** (0.5 * n))
+        try:
+            c = gamma_fn(0.5 * (alpha + n + 1.0)) \
+                / (gamma_fn(0.5 * (alpha + 1.0)) * math.pi ** (0.5 * n))
+        except OverflowError:
+            # Gamma overflows doubles from alpha of about 281; the quotient
+            # itself grows only like alpha^(n/2)
+            c = math.exp(_lgamma_ratio(0.5 * (alpha + 1.0), 0.5 * n)) \
+                / math.pi ** (0.5 * n)
         object.__setattr__(self, "c_norm", c)
         object.__setattr__(self, "nu", 0.5 * (alpha + 1.0))
         object.__setattr__(self, "mu", alpha + n + 1.0)
@@ -202,17 +208,19 @@ def kernel_deriv_eval(p, components, diffs, y):
     """(d/dx)^beta K_{alpha,y} at the offsets x = diffs; no input checks.
 
     ``diffs`` holds one offset per axis, as floats or broadcastable
-    arrays. For beta = 0 only the sum of their squares enters, so a
-    radius may stand in for the whole offset. The checked entry points
-    (poisson_kernel, kernel_profile, kernel_derivative) and the extension
-    all evaluate the kernel here.
+    arrays; offsets that vary along different array axes give the kernel
+    on their whole product lattice. For beta = 0 only the sum of their
+    squares enters, so a radius may stand in for the whole offset. The
+    checked entry points (poisson_kernel, kernel_profile,
+    kernel_derivative) and the extension all evaluate the kernel here.
     """
     s0 = 0.5 * (p.alpha + p.n + 1.0)
     table = _derivative_terms(p.n, s0, tuple(components))
+    pref = p.c_norm * y ** (p.alpha + 1.0)
     big_s = y * y
     for d in diffs:
         big_s = big_s + d * d
-    out = 0.0
+    out = None
     cur_k = None
     cur_pow = None
     for (expo, k), coef in sorted(table.items(), key=lambda t: t[0][1]):
@@ -222,12 +230,13 @@ def kernel_deriv_eval(p, components, diffs, y):
         while cur_k < k:
             cur_pow = cur_pow / big_s
             cur_k += 1
-        piece = coef * cur_pow
+        # the prefactor rides on the coefficient: no pass of its own
+        piece = pref * coef * cur_pow
         for d, e in zip(diffs, expo):
             if e:
                 piece = piece * d ** e
-        out = out + piece
-    return p.c_norm * y ** (p.alpha + 1.0) * out
+        out = piece if out is None else out + piece
+    return out
 
 
 def kernel_derivative(p, beta, pt):

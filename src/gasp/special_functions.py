@@ -83,11 +83,16 @@ def gamma_fn(s):
         # reflection keeps the Lanczos sum in its accurate half-plane
         return math.pi / (math.sin(math.pi * s) * gamma_fn(1.0 - s))
     z = s - 1.0
+    t = z + _LANCZOS_G + 0.5
+    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) \
+        * _lanczos_sum(z)
+
+
+def _lanczos_sum(z):
     acc = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):
         acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return acc
 
 
 def _lgamma_pos(s):
@@ -95,13 +100,22 @@ def _lgamma_pos(s):
     s = float(s)
     if s >= 10.0:
         z = s - 1.0
-        acc = _LANCZOS[0]
-        for i, c in enumerate(_LANCZOS[1:], start=1):
-            acc += c / (z + i)
         t = z + _LANCZOS_G + 0.5
         return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t \
-            + math.log(acc)
+            + math.log(_lanczos_sum(z))
     return math.log(gamma_fn(s))
+
+
+def _lgamma_ratio(s, a):
+    """log(Gamma(s + a) / Gamma(s)) for s >= 10 and a >= 0.
+
+    The Lanczos terms of the two log-gammas, each about s log s, are
+    combined before they are summed, so the result keeps full relative
+    accuracy where their difference would lose eps * s log s.
+    """
+    t = s - 0.5 + _LANCZOS_G
+    return (s - 0.5) * math.log1p(a / t) + a * math.log(t + a) - a \
+        + math.log(_lanczos_sum(s + a - 1.0) / _lanczos_sum(s - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,15 @@ def test_kernel_mass_prints_unit_mass_line(runner):
     assert float(est) < 1e-8
 
 
+def test_kernel_mass_past_gamma_overflow(runner):
+    # Gamma((alpha+n+1)/2) alone overflows doubles here; c_norm does not
+    result = runner.invoke(main, ["kernel", "mass", "--alpha", "400", "--n", "1"])
+    assert result.exit_code == 0
+    value, _, est = result.output.split()
+    assert value == "1.000000"
+    assert float(est) < 1e-8
+
+
 def test_kernel_eval_matches_library(runner):
     result = runner.invoke(main, ["kernel", "eval", "--alpha", "1.5",
                                   "--n", "2", "--x", "0.3,0.4", "--y", "0.7"])
@@ -331,8 +340,10 @@ def test_nonconvergence_exits_3(runner, monkeypatch):
 
 
 def test_overflow_exits_3_with_json_error(runner):
-    # the kernel normalization overflows doubles above alpha of about 340
-    result = runner.invoke(main, ["kernel", "mass", "--alpha", "400", "--n", "1"])
+    # the kernel's value c_norm / 100 is fine, but y^(alpha+1) = 100^301 in
+    # its closed form overflows doubles
+    result = runner.invoke(main, ["kernel", "eval", "--alpha", "300", "--n",
+                                  "1", "--x", "0", "--y", "100"])
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gasp import extension
 from gasp.boundary_data import (
     BoundaryData,
     Grid,
@@ -119,12 +120,16 @@ def test_point_dimension_validation():
 
 
 def test_single_point_grid_equals_extend_point():
-    data, p = tent_data(1.0, 1, 129)
-    out = Grid(origin=(0.7,), spacing=1.0, shape=(1,))
-    res = extend_grid(data, p, 0.8, out)
-    want = extend_point(data, p, HalfSpacePoint((0.7,), 0.8))
-    assert res.values.shape == (1,)
-    assert res.values[0] == want
+    cases = [(tent_data(1.0, 1, 129), (0.7,), 0.8)]
+    for beta in ((0, 0), (1, 1)):
+        cases.append((skewed_data(2.0, beta, (-1.0, -0.8), (41, 33)),
+                      (0.37, -0.52), 0.6))
+    for (data, p), x, y in cases:
+        out = Grid(origin=x, spacing=1.0, shape=(1,) * len(x))
+        res = extend_grid(data, p, y, out)
+        want = extend_point(data, p, HalfSpacePoint(x, y))
+        assert res.values.shape == (1,) * len(x)
+        assert res.values.reshape(-1)[0] == want
 
 
 def test_fast_path_agrees_with_direct():
@@ -214,6 +219,140 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         extend_grid(data, p, 1.0, Grid(origin=(0.0, 0.0), spacing=0.5,
                                        shape=(3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the direct path, against NumPy sums of the closed-form kernel
+
+
+def closed_form_terms(alpha, beta, x, y):
+    """(d/dx)^beta K_{alpha,y} at the rows of x, for |beta| <= 2 with at
+    most one repeated axis, written out by hand."""
+    n = x.shape[-1]
+    s0 = 0.5 * (alpha + n + 1.0)
+    c = math.gamma(s0) / (math.gamma(0.5 * (alpha + 1.0)) * math.pi ** (0.5 * n))
+    big_s = y * y + np.sum(x * x, axis=-1)
+    pre = c * y ** (alpha + 1.0)
+    axes = [i for i, b in enumerate(beta) for _ in range(b)]
+    if not axes:
+        return pre * big_s ** -s0
+    if len(axes) == 1:
+        return -2.0 * s0 * x[..., axes[0]] * pre * big_s ** (-s0 - 1.0)
+    i, j = axes
+    mixed = 4.0 * s0 * (s0 + 1.0) * x[..., i] * x[..., j] \
+        * pre * big_s ** (-s0 - 2.0)
+    if i != j:
+        return mixed
+    return mixed - 2.0 * s0 * pre * big_s ** (-s0 - 1.0)
+
+
+def reference_sum(term, alpha, y, pts):
+    """The trapezoid sum of one term at the rows of pts, and the sum of
+    the magnitudes of its summands (the scale its rounding is measured in)."""
+    g = term.grid
+    weights = np.array(1.0)
+    for b in g.shape:
+        w = np.full(b, g.spacing)
+        w[[0, -1]] *= 0.5
+        weights = np.multiply.outer(weights, w)
+    wf = (term.values_grid * weights).reshape(-1)
+    nodes = grid_rows(g)
+    value = np.empty(len(pts))
+    scale = np.empty(len(pts))
+    for s in range(0, len(pts), 64):
+        t = closed_form_terms(alpha, term.beta.components,
+                              pts[s:s + 64, None, :] - nodes, y) * wf
+        value[s:s + 64] = t.sum(axis=1)
+        scale[s:s + 64] = np.abs(t).sum(axis=1)
+    return value, scale
+
+
+def grid_rows(grid):
+    return np.stack([m.ravel() for m in np.meshgrid(*grid.coords,
+                                                     indexing="ij")], axis=-1)
+
+
+def skewed_data(alpha, beta, origin, shape):
+    """A smooth bump with no symmetry between axes, on a lattice of
+    spacing 0.05 (n = 2) or 0.25 (n = 3) whose axes differ in length."""
+    n = len(shape)
+    g = Grid(origin=origin, spacing=0.05 if n == 2 else 0.25, shape=shape)
+    xs = np.ix_(*g.coords)
+    r2 = sum((k + 1) * (x - 0.1 * k) ** 2 for k, x in enumerate(xs))
+    vals = np.exp(-r2) * (1.2 + xs[0] - 0.4 * xs[-1])
+    p = ModelParams(alpha, n)
+    return BoundaryData(p, (WeightedTerm(MultiIndex(beta), g,
+                                         vals.reshape(-1)),)), p
+
+
+@pytest.mark.parametrize("beta", [(0, 0), (1, 0), (0, 2), (1, 1)])
+def test_direct_path_matches_closed_form_sum_n2(beta):
+    data, p = skewed_data(2.0, beta, (-1.0, -0.8), (41, 33))
+    # 483 points in blocks of 24: several blocks and a short last one
+    out = Grid(origin=(-2.01, -1.97), spacing=0.1003, shape=(23, 21))
+    res = extend_grid(data, p, 0.5, out)
+    assert any("incommensurate" in s for s in res.notes)
+    want, scale = reference_sum(data.terms[0], 2.0, 0.5, grid_rows(out))
+    assert np.all(np.abs(res.values.reshape(-1) - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("beta", [(1, 0), (0, 2), (1, 1)])
+def test_direct_path_matches_fft_path_n2(beta):
+    data, p = skewed_data(2.0, beta, (-1.0, -0.8), (41, 33))
+    # on the data lattice, so extend_grid convolves by FFT
+    out = Grid(origin=(-1.5, -1.3), spacing=0.05, shape=(31, 29))
+    res = extend_grid(data, p, 0.5, out)
+    assert not any("incommensurate" in s for s in res.notes)
+    term = data.terms[0]
+    direct = extension._term_dense(p, beta, 0.5, extension.grid_points(
+        out.coords), *extension._term_weighted(term))
+    _, scale = reference_sum(term, 2.0, 0.5, grid_rows(out))
+    assert np.all(np.abs(res.values.reshape(-1) - direct) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("beta", [(0, 0, 0), (1, 0, 1)])
+def test_direct_path_matches_closed_form_sum_n3(beta):
+    data, p = skewed_data(1.0, beta, (-1.0, -0.75, -1.25), (9, 7, 11))
+    out = Grid(origin=(-1.13, -0.91, -1.07), spacing=0.37, shape=(5, 4, 3))
+    res = extend_grid(data, p, 0.7, out)
+    want, scale = reference_sum(data.terms[0], 1.0, 0.7, grid_rows(out))
+    assert np.all(np.abs(res.values.reshape(-1) - want) <= 1e-12 * scale)
+
+
+def test_direct_path_with_a_short_last_block():
+    data, p = tent_data(0.0, 1, 385)
+    out = Grid(origin=(-4.01,), spacing=0.0173, shape=(401,))
+    per_block = extension._DENSE_BLOCK // data.terms[0].values.size
+    assert 1 < per_block < 401 and 401 % per_block
+    res = extend_grid(data, p, 0.5, out)
+    want, scale = reference_sum(data.terms[0], 0.0, 0.5, grid_rows(out))
+    assert np.all(np.abs(res.values - want) <= 1e-12 * scale)
+
+
+def test_direct_path_blocks_stay_cache_sized(monkeypatch):
+    # every kernel block of the direct path fits a share of L2, and each
+    # axis enters as its own offsets, never as a full-lattice copy
+    calls = []
+    evaluate = extension.kernel_deriv_eval
+
+    def spy(p, components, diffs, y):
+        kv = evaluate(p, components, diffs, y)
+        calls.append(([np.shape(d) for d in diffs], np.shape(kv)))
+        return kv
+
+    monkeypatch.setattr(extension, "kernel_deriv_eval", spy)
+    data, p = tent_data(2.0, 2, 81)
+    term = data.terms[0]
+    extend_grid(data, p, 0.5, Grid((-3.01, -3.01), 0.1003, (41, 41)))
+    extend_point(data, p, HalfSpacePoint((0.3, -0.2), 0.5))
+    assert extension._DENSE_BLOCK * 8 <= 1 << 20  # a quarter of a 4 MiB L2
+    assert len(calls) > 2
+    for shapes, kv_shape in calls:
+        assert math.prod(kv_shape) <= max(extension._DENSE_BLOCK,
+                                          term.values.size)
+        for i, shape in enumerate(shapes):
+            assert shape[0] == kv_shape[0]
+            assert math.prod(shape) <= kv_shape[0] * term.grid.shape[i]
 
 
 # ---------------------------------------------------------------------------

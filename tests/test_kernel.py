@@ -15,7 +15,7 @@ from gasp.kernel import (
     poisson_kernel,
     unit_sphere_area,
 )
-from gasp.special_functions import EvalAccuracy
+from gasp.special_functions import EvalAccuracy, _lgamma_ratio, gamma_fn
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +32,21 @@ def test_model_params_constants():
     assert p.mu == 6.0
     # Gamma((3+2+1)/2) / (Gamma(2) pi) = Gamma(3)/pi = 2/pi
     assert p.c_norm == pytest.approx(2.0 / math.pi, rel=1e-14)
+
+
+def test_model_params_c_norm_past_gamma_overflow():
+    # Gamma((alpha+n+1)/2) overflows doubles from alpha of about 281; the
+    # quotient is mpmath at 40 digits
+    for n, want in ((1, 7.9838339400288955), (2, 63.82113217985003),
+                    (3, 510.80798782493744)):
+        assert ModelParams(400.0, n).c_norm == pytest.approx(want, rel=1e-14)
+    # where both routes are finite they agree
+    for alpha in (20.0, 150.5, 279.0):
+        for n in (1, 2, 3):
+            s = 0.5 * (alpha + 1.0)
+            quotient = gamma_fn(s + 0.5 * n) / gamma_fn(s)
+            assert math.exp(_lgamma_ratio(s, 0.5 * n)) == pytest.approx(
+                quotient, rel=1e-14)
 
 
 def test_model_params_domain():
@@ -149,7 +164,8 @@ def test_y_monotonicity_threshold():
 # mass
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5, 3.7])
+# alpha = 400 is past the overflow of Gamma((alpha+n+1)/2)
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5, 3.7, 400.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_mass_is_one(alpha, n):
     for y in (0.1, 1.0, 10.0):
