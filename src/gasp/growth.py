@@ -24,8 +24,8 @@ import numpy as np
 from ._quadrature import tanh_sinh
 from .boundary_data import (BoundaryData, case_exponents, radius_sq,
                             trapezoid_weights)
-from .extension import extend_point
-from .kernel import HalfSpacePoint, ModelParams, unit_sphere_area
+from .extension import _check_dims, _extend_points
+from .kernel import ModelParams, unit_sphere_area
 from .special_functions import EvalAccuracy
 
 _MAX_TRACK = 64  # log-space track: no materialized heights, so well past 12
@@ -53,6 +53,37 @@ def _theta_grid(theta_count):
     return np.linspace(0.0, 0.5 * math.pi - math.pi / (4 * theta_count), theta_count)
 
 
+def _scan(p, m, r_values, theta_count, evaluate) -> GrowthScan:
+    """Check the scan inputs, evaluate u on the whole r x theta grid and
+    keep each radius's sup and argmax.
+
+    ``evaluate(x0, y)`` takes (radii, thetas) arrays of first coordinates
+    and heights (the other coordinates are 0) and returns u there.
+    """
+    if not (isinstance(m, int) and m >= 0):
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    if not (isinstance(theta_count, int) and theta_count >= 16):
+        raise ValueError(f"theta_count must be an integer >= 16, got {theta_count!r}")
+    rs = np.asarray(r_values, dtype=float)
+    if rs.ndim != 1 or rs.size == 0 or not np.all(np.isfinite(rs)):
+        raise ValueError("r_values must be a nonempty finite 1-D sequence")
+    if rs[0] <= 0.0 or np.any(np.diff(rs) <= 0.0):
+        raise ValueError("r_values must be positive and strictly increasing")
+
+    thetas = _theta_grid(theta_count)
+    vals = np.abs(evaluate(np.outer(rs, np.sin(thetas)),
+                           np.outer(rs, np.cos(thetas))))
+    vals *= np.cos(thetas) ** (p.n + m)
+    k = np.argmax(vals, axis=1)
+    return GrowthScan(
+        r_values=tuple(float(r) for r in rs),
+        theta_count=theta_count,
+        m=m,
+        sup_values=vals[np.arange(rs.size), k] / rs ** (p.alpha + 1.0),
+        argmax_theta=thetas[k],
+    )
+
+
 def sphere_sup_scan(u, p: ModelParams, m, r_values, theta_count=64) -> GrowthScan:
     """Scan |u| cos^{n+m}(theta) / r^{alpha+1} over upper half-spheres.
 
@@ -72,48 +103,34 @@ def sphere_sup_scan(u, p: ModelParams, m, r_values, theta_count=64) -> GrowthSca
     -------
     GrowthScan
     """
-    if not (isinstance(m, int) and m >= 0):
-        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    if not (isinstance(theta_count, int) and theta_count >= 16):
-        raise ValueError(f"theta_count must be an integer >= 16, got {theta_count!r}")
-    rs = np.asarray(r_values, dtype=float)
-    if rs.ndim != 1 or rs.size == 0 or not np.all(np.isfinite(rs)):
-        raise ValueError("r_values must be a nonempty finite 1-D sequence")
-    if rs[0] <= 0.0 or np.any(np.diff(rs) <= 0.0):
-        raise ValueError("r_values must be positive and strictly increasing")
-
-    thetas = _theta_grid(theta_count)
-    cos_pow = np.cos(thetas) ** (p.n + m)
-    sup_vals = np.empty(rs.size)
-    arg_theta = np.empty(rs.size)
-    for i, r in enumerate(rs):
-        vals = np.empty(theta_count)
-        for j, th in enumerate(thetas):
+    def evaluate(x0, y):
+        out = np.empty(x0.shape)
+        for idx in np.ndindex(x0.shape):
             x = np.zeros(p.n)
-            x[0] = r * math.sin(th)
-            vals[j] = abs(u(x, r * math.cos(th))) * cos_pow[j]
-        k = int(np.argmax(vals))
-        sup_vals[i] = vals[k] / r ** (p.alpha + 1.0)
-        arg_theta[i] = thetas[k]
-    return GrowthScan(
-        r_values=tuple(float(r) for r in rs),
-        theta_count=theta_count,
-        m=m,
-        sup_values=sup_vals,
-        argmax_theta=arg_theta,
-    )
+            x[0] = x0[idx]
+            out[idx] = u(x, float(y[idx]))
+        return out
+
+    return _scan(p, m, r_values, theta_count, evaluate)
 
 
 def l1_data_scan(data: BoundaryData, p: ModelParams, r_values,
                  theta_count=64) -> GrowthScan:
-    """Hemisphere scan (m = 0) of the extension of function-type data."""
+    """Hemisphere scan (m = 0) of the extension of function-type data.
+
+    The same records as ``sphere_sup_scan`` over ``extend_point``, with
+    every scan point of a term in one direct sum at per-point heights.
+    """
+    _check_dims(data, p)
     if any(term.beta.order > 0 for term in data.terms):
         raise ValueError("scan needs function-type data (all beta = 0)")
 
-    def u(x, y):
-        return extend_point(data, p, HalfSpacePoint(x=tuple(x), y=y))
+    def evaluate(x0, y):
+        points = np.zeros((p.n, x0.size))
+        points[0] = x0.ravel()
+        return _extend_points(data, p, points, y.ravel()).reshape(x0.shape)
 
-    return sphere_sup_scan(u, p, 0, r_values, theta_count)
+    return _scan(p, 0, r_values, theta_count, evaluate)
 
 
 def far_field_integral(p: ModelParams, data: BoundaryData, r):

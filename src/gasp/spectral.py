@@ -25,7 +25,7 @@ import numpy as np
 from ._quadrature import (QuadratureError, exp_sinh, integrate_lobes_rows,
                           lobe_edges, tanh_sinh)
 from .kernel import kernel_deriv_eval, kernel_mass, kernel_profile
-from .special_functions import EvalAccuracy, gamma_fn, phi_nu
+from .special_functions import EvalAccuracy, phi_nu
 
 __all__ = [
     "ft_closed_form", "ft_integral_rep", "ft_direct", "profile_ode_residual",
@@ -50,19 +50,29 @@ def ft_integral_rep(p, y, xi_norm, acc=EvalAccuracy()):
         b^{alpha/2} e^{-b} / Gamma(alpha+1) *
             Int_0^inf e^{-u} u^{alpha/2} (2 + u/b)^{alpha/2} du,  b = y|xi|,
     whose integrand exp-sinh nodes handle uniformly in b (the u^{alpha/2}
-    endpoint is integrable for every alpha > -1).
+    endpoint is integrable for every alpha > -1). The integrand is formed
+    in logs, less its value at the peak u* (alpha > 0), and the prefactor
+    through lgamma, so neither overflows at large alpha.
     """
     b = float(y) * float(xi_norm)
     if not (b > 0.0 and math.isfinite(b)):
         raise ValueError("need y * xi_norm > 0, got %r" % (b,))
     a2 = 0.5 * p.alpha
+    peak = 0.0
+    if a2 > 0.0:
+        # u* solves u^2 + 2 (b - a2) u = 2 a2 b; the root without cancellation
+        d = a2 - b
+        root = math.hypot(d, math.sqrt(2.0 * a2 * b))
+        u_star = d + root if d > 0.0 else 2.0 * a2 * b / (root - d)
+        peak = a2 * (math.log(u_star) + math.log(2.0 + u_star / b)) - u_star
 
     def f(u):
-        return np.exp(-u) * u ** a2 * (2.0 + u / b) ** a2
+        return np.exp(a2 * (np.log(u) + np.log(2.0 + u / b)) - u - peak)
 
     value, _err = exp_sinh(f, a=0.0, scale=max(1.0, p.alpha),
                            rel_tol=0.1 * min(acc.rel_tol, 1e-9))
-    return b ** a2 * math.exp(-b) / gamma_fn(p.alpha + 1.0) * value
+    return math.exp(a2 * math.log(b) - b + peak
+                    - math.lgamma(p.alpha + 1.0)) * value
 
 
 def _half_line_complex(profile_vec, freq, tol, feature=1.0):

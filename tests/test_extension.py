@@ -355,6 +355,68 @@ def test_direct_path_blocks_stay_cache_sized(monkeypatch):
             assert math.prod(shape) <= kv_shape[0] * term.grid.shape[i]
 
 
+def seven_smooth(k):
+    for f in (2, 3, 5, 7):
+        while k % f == 0:
+            k //= f
+    return k == 1
+
+
+def test_smooth_len_is_the_least_7_smooth_length():
+    smooth = [k for k in range(1, 5200) if seven_smooth(k)]
+    for size in range(1, 5001):
+        assert extension._smooth_len(size) == next(k for k in smooth
+                                                   if k >= size), size
+
+
+# the benchmark's FFT-path sizes: linear convolutions of prime length 353
+# (81 x 81 nodes, 97 x 97 points at twice the spacing) and 1793 = 11 * 163
+# (385 nodes, 513 points). A transform spreads its rounding over every
+# output, so far from the data the gap is measured against the largest
+# sum of |summands|, not the point's own (1e-5 of it at the corners).
+@pytest.mark.parametrize("beta", [(0, 0), (1, 0), (0, 2), (1, 1)])
+def test_fft_path_matches_direct_path_at_prime_length_n2(beta):
+    data, p = skewed_data(2.0, beta, (-2.0, -1.9), (81, 81))
+    out = Grid(origin=(-4.0, -3.9), spacing=0.1, shape=(97, 97))
+    res = extend_grid(data, p, 0.5, out)
+    assert not any("incommensurate" in s for s in res.notes)
+    pts = grid_rows(out)[::7]
+    term = data.terms[0]
+    direct = extension._term_dense(p, beta, 0.5, pts.T,
+                                   *extension._term_weighted(term))
+    _, scale = reference_sum(term, 2.0, 0.5, pts)
+    assert np.max(np.abs(res.values.reshape(-1)[::7] - direct)) \
+        <= 1e-12 * np.max(scale)
+
+
+def test_fft_path_matches_direct_path_at_composite_length_n1():
+    data, p = tent_data(0.0, 1, 385)
+    out = Grid(origin=(-4.0,), spacing=2.0 / 384 * 2, shape=(513,))
+    res = extend_grid(data, p, 0.25, out)
+    assert not any("incommensurate" in s for s in res.notes)
+    term = data.terms[0]
+    pts = grid_rows(out)
+    direct = extension._term_dense(p, (0,), 0.25, pts.T,
+                                   *extension._term_weighted(term))
+    _, scale = reference_sum(term, 0.0, 0.25, pts)
+    assert np.max(np.abs(res.values - direct)) <= 1e-12 * np.max(scale)
+
+
+def test_fft_path_transforms_at_7_smooth_lengths(monkeypatch):
+    lengths = []
+    for name in ("rfftn", "irfftn"):
+        def spy(a, s, axes, _fft=getattr(np.fft, name)):
+            lengths.extend(s)
+            return _fft(a, s, axes)
+        monkeypatch.setattr(np.fft, name, spy)
+    data, p = tent_data(2.0, 2, 81)
+    extend_grid(data, p, 0.5, Grid((-3.0, -3.0), 0.05, (97, 97)))
+    data, p = tent_data(0.0, 1, 385)
+    extend_grid(data, p, 0.5, Grid((-4.0,), 2.0 / 192, (513,)))
+    assert len(lengths) == 3 * (2 + 1)
+    assert min(lengths) >= 353 and all(seven_smooth(k) for k in lengths)
+
+
 # ---------------------------------------------------------------------------
 # boundary convergence
 

@@ -157,6 +157,27 @@ def test_zero_mass_dipole_decays_faster():
     assert m_dip < 0.1 * m_tent
 
 
+@pytest.mark.parametrize("case", ["n1", "n2", "two_terms"])
+def test_l1_scan_is_the_sphere_scan_of_extend_point(case):
+    # the batched direct sum keeps the records of the per-point route
+    if case == "n1":
+        data, rs = tent_data(0.0, 1), [2.0, 8.0, 32.0]
+    elif case == "n2":
+        data, rs = tent_data(2.5, 2, m=33), [1.5, 4.0, 16.0]
+    else:
+        data = merge(tent_data(1.0, 1), tent_data(1.0, 1, center=0.5,
+                                                  sign=-1.0))
+        rs = [1.0, 3.0, 12.0]
+    p = data.params_hint
+    scan = l1_data_scan(data, p, rs, theta_count=32)
+    want = sphere_sup_scan(
+        lambda x, y: extend_point(data, p, HalfSpacePoint(tuple(x), y)),
+        p, 0, rs, theta_count=32)
+    assert scan.r_values == want.r_values
+    assert np.all(np.abs(scan.sup_values / want.sup_values - 1.0) <= 1e-13)
+    assert np.array_equal(scan.argmax_theta, want.argmax_theta)
+
+
 def test_scan_rejects_derivative_data():
     p = ModelParams(alpha=0.0, n=1)
     g = Grid(origin=(-1.0,), spacing=0.5, shape=(5,))

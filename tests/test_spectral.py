@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ def test_ft_integral_rep_large_argument_scaled_agreement():
     a = ft_integral_rep(p, 1.0, 30.0)
     c = ft_closed_form(p, 1.0, 30.0)
     assert abs(a - c) <= 1e-8 * c
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0, 30.0, 60.0, 150.0, 200.0, 1000.0])
+def test_ft_integral_rep_large_alpha_in_logs(alpha):
+    # in plain floats the integrand u^{alpha/2} (2 + u/b)^{alpha/2} warned of
+    # overflow from alpha = 30, and Gamma(alpha + 1) overflowed from 170
+    p = ModelParams(alpha, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y, xi in ((1.0, 0.5), (1.0, 1e-3), (2.0, 3.0), (1.0, 30.0)):
+            a = ft_integral_rep(p, y, xi)
+            c = float(ft_closed_form(p, y, xi))
+            assert abs(a - c) <= 1e-10 * c, (y, xi)
 
 
 def test_ft_integral_rep_domain():
