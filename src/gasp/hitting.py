@@ -7,9 +7,7 @@ position has a density ``G`` on R^n whose Fourier transform is the quotient
     Q(s) = (y/eta)^nu K_nu(y s) / K_nu(eta s),   s = |xi|,   nu = (alpha+1)/2.
 
 The quotient is evaluated in log space so that both Bessel factors can be
-taken far past the range where K_nu itself underflows; it is formed from
-the scaled logs log(e^z K_nu(z)) and e^{-gap s}, so nothing of size |s|
-cancels and it stays accurate out to |s| ~ 1/(eps gap).  K_nu has no zeros
+taken far past the range where K_nu itself underflows.  K_nu has no zeros
 in Re s > 0, so Q is analytic there, and the density inverts it along the
 ray s = t e^{i pi/4}, where nothing oscillates: one evaluation of Q serves
 every radius of a call.  At odd n the Bessel factor J_{n/2-1}(rs) is Re of
@@ -37,7 +35,7 @@ import numpy as np
 from ._quadrature import QuadratureError
 from .boundary_data import Grid, radius_sq
 from .kernel import ModelParams, kernel_profile, unit_sphere_area
-from .special_functions import EvalAccuracy, _lgamma_pos, _log_kve
+from .special_functions import EvalAccuracy, _lgamma_pos, log_bessel_k
 
 
 @dataclass(frozen=True)
@@ -96,19 +94,18 @@ def hitting_ft(p: ModelParams, levels: LevelPair, xi_norm):
 
     out = np.ones_like(xi)
     # below the normal range eta*s loses bits to rounding, down to an exact 0
-    # that _log_kve rejects; there the small-argument form is exact
+    # that log_bessel_k rejects; there the small-argument form is exact
     tiny = (xi > 0) & (levels.eta * xi < np.finfo(float).tiny)
     if np.any(tiny):
         out[tiny] = _small_arg_ft(p.nu, levels, xi[tiny])
     mask = (xi > 0) & ~tiny
     if np.any(mask):
         s = xi[mask]
-        log_k = _log_kve(p.nu, np.concatenate([levels.y * s, levels.eta * s]))
+        log_k = log_bessel_k(p.nu, np.concatenate([levels.y * s, levels.eta * s]))
         lg = (
             p.nu * (math.log(levels.y) - math.log(levels.eta))
             + log_k[: s.size]
             - log_k[s.size :]
-            - levels.gap * s
         )
         with np.errstate(under="ignore"):
             # the quotient is mathematically <= 1; log-space roundoff can
@@ -167,14 +164,12 @@ def _ray_quotient(p, levels, level):
     ds = t * (1.0 + np.exp(-tau)) * _RAY
     m = t.size
     args = [levels.y * s, levels.eta * s] + ([c * s] if far else [])
-    # scaled logs: e^{-gap s} and e^{-c s} enter once each, not as the
-    # difference of two logs of size |s|
-    log_k = _log_kve(nu, np.concatenate(args))
+    log_k = log_bessel_k(nu, np.concatenate(args))
     q = np.exp(nu * (math.log(levels.y) - math.log(levels.eta))
-               + log_k[:m] - log_k[m:2 * m] - levels.gap * s)
+               + log_k[:m] - log_k[m:2 * m])
     if far:
         q -= np.exp((1.0 - nu) * math.log(2.0) + nu * np.log(c * s)
-                    + log_k[2 * m:] - c * s - _lgamma_pos(nu))
+                    + log_k[2 * m:] - _lgamma_pos(nu))
     return s, ds, q, c
 
 

@@ -212,8 +212,9 @@ def kernel_deriv_eval(p, components, diffs, y):
     on their whole product lattice. For beta = 0 only the sum of their
     squares enters, so a radius may stand in for the whole offset. ``y``
     broadcasts with them too: a height per output point serves a scan
-    over many heights in one call. The checked entry points (poisson_kernel, kernel_profile,
-    kernel_derivative) and the extension all evaluate the kernel here.
+    over many heights in one call. The checked entry points
+    (poisson_kernel, kernel_profile, kernel_derivative) and the extension
+    all evaluate the kernel here.
     """
     s0 = 0.5 * (p.alpha + p.n + 1.0)
     table = _derivative_terms(p.n, s0, tuple(components))

@@ -257,12 +257,13 @@ def _log_k_complex(nu, z_arr):
     return out
 
 
-def _log_kve(order, z):
-    """log(e^z K_nu(z)), array of z's shape; the domain of log_bessel_k.
+def log_bessel_k(order, z):
+    """log K_nu(z) for nu > 0 and z > 0, or complex z with Re z > 0.
 
-    The scaled logarithm varies like -log(z)/2, so it keeps its relative
-    accuracy at any |z|: a difference of log K at large arguments formed
-    from it loses nothing to the eps * |z| that subtracting z costs.
+    Scalar or array in z. This is the workhorse behind phi_nu and the
+    hitting-kernel quotient (which needs differences of log K at arguments
+    large enough that the plain values underflow). For complex z the
+    imaginary part is ph K_nu(z) up to a multiple of 2 pi.
     """
     nu = float(order)
     if not (nu > 0.0 and math.isfinite(nu)):
@@ -274,26 +275,15 @@ def _log_kve(order, z):
         if np.any(np.abs(z_arr) < 1e-300) or np.any(np.abs(np.angle(z_arr)) > 1.5):
             raise QuadratureError("log_bessel_k: complex z below |z| = 1e-300 "
                                   "or past |ph z| = 1.5 is out of reach")
-        return _log_k_complex(nu, z_arr.ravel()).reshape(z_arr.shape)
+        flat = z_arr.ravel()
+        out = (_log_k_complex(nu, flat) - flat).reshape(z_arr.shape)
+        return complex(out) if z_arr.ndim == 0 else out
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= 0) or not np.all(np.isfinite(z_arr)):
         raise ValueError("log_bessel_k needs finite z > 0")
-    return _log_k_trapezoid(nu, z_arr.ravel()).reshape(z_arr.shape)
-
-
-def log_bessel_k(order, z):
-    """log K_nu(z) for nu > 0 and z > 0, or complex z with Re z > 0.
-
-    Scalar or array in z. This is the workhorse behind phi_nu (the
-    hitting-kernel quotient takes the scaled form, which keeps its
-    accuracy where the plain values underflow). For complex z the
-    imaginary part is ph K_nu(z) up to a multiple of 2 pi.
-    """
-    scaled = _log_kve(order, z)
-    out = scaled - np.asarray(z, dtype=scaled.dtype)
-    if out.ndim:
-        return out
-    return complex(out) if np.iscomplexobj(out) else float(out)
+    flat = z_arr.ravel()
+    out = (_log_k_trapezoid(nu, flat) - flat).reshape(z_arr.shape)
+    return float(out) if z_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -321,20 +321,6 @@ def test_kernel_frozen_values(alpha, r):
     assert abs(got - _FROZEN[alpha, r]) <= 1e-10 * _FROZEN[alpha, r]
 
 
-# Levels 1 -> 1 - 1e-8 at r = 1e-8, n = 1, from mpmath at 40 digits (the
-# quotient along the ray; alpha = 0 is the Cauchy density at the float gap).
-# The quotient is needed out to |s| ~ 1e9 here, where log K_nu(z) - z loses
-# eps * |z|: the plain logs missed alpha = 1.5 by 7.8e-10 and alpha = 0 raised
-_NARROW = {0.0: 15915494.309189533043, 1.5: 15915494.428555705314,
-           3.0: 15915494.547921848208}
-
-
-@pytest.mark.parametrize("alpha", sorted(_NARROW))
-def test_kernel_at_a_narrow_gap(alpha):
-    got = hitting_kernel(ModelParams(alpha, 1), LevelPair(1.0, 1.0 - 1e-8), 1e-8)
-    assert abs(got - _NARROW[alpha]) <= 1e-10 * _NARROW[alpha]
-
-
 # Levels 2 -> 1 at r = 0, 0.5, 2, 6, 16, from mpmath at 32-40 digits: the
 # quotient along the ray, inverted with hankel1 (or with the far-field
 # kernel split off, which gave the same 17 digits). The lobe route missed
