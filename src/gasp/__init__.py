@@ -2,8 +2,8 @@
 
 The library is organized bottom-up:
 
-- ``special_functions``: gamma, Bessel J, log K_nu and the normalized
-  profile phi_nu, on in-house quadratures.
+- ``special_functions``: gamma, log K_nu and the normalized profile
+  phi_nu, on in-house quadratures.
 - ``kernel``: model parameters, the kernel K_{alpha,y}, its derivatives,
   mass, and the finite-difference residual of the weighted operator.
 - ``spectral``: the kernel's Fourier transform three independent ways and

@@ -11,13 +11,14 @@ with its default, type and help line, and the options of each subcommand
 are generated from it; ``gasp <command> --help`` lists them.
 
 Every subcommand also accepts ``--config``, ``--output`` (primary document
-to a file instead of stdout), ``--format {json,csv}`` (default json for
-reports, csv for tables), and ``--workers N`` (parallelism cap; results
-never depend on it).  ``--seed`` falls back to the GASP_SEED environment
-variable, then to 0.  Identical configuration and seed give byte-identical
-documents; floats are printed with 17 significant digits in JSON and 9 in
-CSV.  The three ``kernel`` subcommands print a single human-readable line
-to stdout and write their document only when ``--output`` is given.
+to a file instead of stdout) and ``--format {json,csv}`` (default json for
+reports, csv for tables).  The two ``simulate`` commands take ``--workers
+N`` (parallelism cap; results never depend on it).  ``--seed`` falls back
+to the GASP_SEED environment variable, then to 0.  Identical configuration
+and seed give byte-identical documents; floats are printed with 17
+significant digits in JSON and 9 in CSV.  The three ``kernel`` subcommands
+print a single human-readable line to stdout and write their document only
+when ``--output`` is given.
 """
 
 import collections
@@ -31,7 +32,8 @@ import numpy as np
 
 from ._jsonio import csv_document, format_float, json_document
 from ._quadrature import QuadratureError
-from .boundary_data import CriticalCase, Grid, SubcriticalCase, case_exponents, load_data
+from .boundary_data import (CriticalCase, Grid, SubcriticalCase, case_exponents,
+                            grid_points, load_data)
 from .extension import boundary_convergence, extend_grid
 from .growth import counterexample_track, l1_data_scan, u_tilde
 from .hbm_sim import (SimConfig, simulate_paths, validate_boundary_law,
@@ -51,7 +53,7 @@ class _Required:
 _REQ = _Required()
 
 # shared by every subcommand; "output": None means stdout
-_COMMON = {"format": None, "output": None, "workers": 1}
+_COMMON = {"format": None, "output": None}
 
 # one command-line parameter: its default, its click type (None: text)
 # and its help line; the flag is the key with "_" spelled "-"
@@ -70,6 +72,7 @@ _DT = _Param(1e-3, float, "Time step, <= 1e-2.")
 _SEED = _Param(None, int, "Master seed (GASP_SEED, then 0).")
 _SAMPLES = _Param(None, click.Path(dir_okay=False),
                   "Also dump the per-path samples to this CSV.")
+_WORKERS = _Param(1, int, "Parallelism cap; never changes results.")
 
 _DEFAULTS = {
     "kernel eval": {"alpha": _ALPHA, "n": _N, "x": _X, "y": _Y},
@@ -109,11 +112,11 @@ _DEFAULTS = {
         "paths": _PATHS, "dt": _DT,
         "floor": _Param(None, float, "Height where the walk stops and the exact "
                         "completion to the boundary starts (default 1e-4*y)."),
-        "seed": _SEED, "samples": _SAMPLES},
+        "seed": _SEED, "samples": _SAMPLES, "workers": _WORKERS},
     "simulate hitting": {
         "alpha": _ALPHA, "n": _SIM_N, "y": _Param(2.0, float, "Start level."),
         "eta": _Param(1.0, float, _ETA_HELP), "paths": _PATHS, "dt": _DT,
-        "seed": _SEED, "samples": _SAMPLES},
+        "seed": _SEED, "samples": _SAMPLES, "workers": _WORKERS},
     "growth scan": {
         "data": _Param(_REQ, None, "Boundary-data JSON file (beta = 0 terms)."),
         "alpha": _DATA_ALPHA, "n": _DATA_N,
@@ -129,34 +132,18 @@ _DEFAULTS = {
         "k_max": _Param(10, int, "Bumps to track.")},
 }
 
-# tables default to csv, reports and single values to json
-_FORMAT_DEFAULT = {
-    "fourier compare": "csv",
-    "extend": "csv",
-    "converge": "csv",
-    "hitting kernel": "csv",
-    "growth scan": "csv",
+_GROUPS = {
+    "kernel": "Pointwise kernel values, total mass, and the PDE residual.",
+    "fourier": "Fourier transform of the kernel, three independent routes.",
+    "hitting": "Two-level hitting density and its semigroup identity.",
+    "simulate": "Monte Carlo sampling of the stopped diffusion, with KS reports.",
+    "growth": "Hemisphere growth scans and the sharpness construction.",
 }
 
 
 def _die(code, kind, message):
     sys.stderr.write(json_document({"error": kind, "message": message}))
     sys.exit(code)
-
-
-def _guard(fn):
-    """Map library exceptions onto the exit-code contract."""
-    @functools.wraps(fn)
-    def run(**kw):
-        try:
-            fn(**kw)
-        except QuadratureError as exc:
-            _die(3, "nonconvergence", str(exc))
-        except OverflowError as exc:
-            _die(3, "overflow", str(exc))
-        except (ValueError, OSError) as exc:
-            _die(2, "validation", str(exc))
-    return run
 
 
 def _settings(command, config_path, flags):
@@ -184,11 +171,6 @@ def _settings(command, config_path, flags):
     if missing:
         raise ValueError("%r is missing required parameter(s): %s"
                          % (command, ", ".join(missing)))
-    if merged["format"] is None:
-        merged["format"] = _FORMAT_DEFAULT.get(command, "json")
-    merged["workers"] = int(merged["workers"])
-    if merged["workers"] < 1:
-        raise ValueError("workers must be >= 1, got %d" % merged["workers"])
     return merged
 
 
@@ -228,12 +210,13 @@ def _floats(value, name):
     return out
 
 
-def _ints(value, name):
-    vals = _floats(value, name)
-    out = tuple(int(v) for v in vals)
-    if any(o != v for o, v in zip(out, vals)):
-        raise ValueError("%s: expected integers, got %r" % (name, value))
-    return out
+def _grid(s):
+    """The grid given by ``--origin``, ``--spacing`` and ``--shape``."""
+    origin, spacing = _floats(s["origin"], "origin"), float(s["spacing"])
+    shape = _floats(s["shape"], "shape")
+    if any(int(v) != v for v in shape):
+        raise ValueError("shape: expected integers, got %r" % (s["shape"],))
+    return Grid(origin=origin, spacing=spacing, shape=tuple(int(v) for v in shape))
 
 
 def _load_data(settings):
@@ -249,29 +232,38 @@ def _load_data(settings):
     return data, p
 
 
-def _write(text, output):
-    if output is None:
+def _axes(n):
+    return tuple("x%d" % (i + 1) for i in range(n))
+
+
+def _table(doc, header, rows, **tail):
+    """``doc`` and its CSV table; in JSON the rows follow doc's keys as objects."""
+    doc["rows"] = [dict(zip(header, row)) for row in rows]
+    doc.update(tail)
+    return doc, (header, rows)
+
+
+def _emit(settings, doc, table):
+    """Write ``doc`` as JSON, or as CSV: ``table``, else ``doc`` as one row."""
+    if settings["format"] == "json":
+        text = json_document(doc)
+    else:
+        header, rows = table or (tuple(doc), [tuple(doc.values())])
+        text = csv_document(header, rows)
+    if settings["output"] is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
+        with open(settings["output"], "w") as fh:
             fh.write(text)
 
 
-def _emit(settings, json_obj, csv_header, csv_rows):
-    if settings["format"] == "json":
-        _write(json_document(json_obj), settings["output"])
-    else:
-        _write(csv_document(csv_header, csv_rows), settings["output"])
-
-
-def _emit_report(settings, report):
-    """A flat dict as a JSON object or a one-row CSV."""
-    _emit(settings, report, tuple(report), [tuple(report.values())])
+def _summary(s, line, doc, table):
+    """Print a kernel command's line; its document goes to --output only."""
+    click.echo(line)
+    return None if s["output"] is None else (doc, table)
 
 
 _COMMON_OPTIONS = (
-    click.option("--workers", type=int, default=None,
-                 help="Parallelism cap; never changes results."),
     click.option("--format", type=click.Choice(("json", "csv")),
                  default=None, help="Primary document format."),
     click.option("--output", type=click.Path(dir_okay=False), default=None,
@@ -290,58 +282,64 @@ def _help_line(spec):
     return "%s  [default: %s]" % (spec.help, spec.default)
 
 
-def _command(group, name):
-    """Register ``handler(settings)`` as a subcommand of ``group``.
+@click.group()
+def main():
+    """Weighted half-space kernels, extensions, hitting laws, growth scans."""
 
-    The options are those of the command's _DEFAULTS entry followed by
-    the common ones; the handler gets the merged settings.
+
+def _command(key, fmt="json"):
+    """Register ``handler(settings)`` as subcommand ``key``, by default in ``fmt``.
+
+    Its options are those of ``_DEFAULTS[key]``, then the common ones.  The
+    handler returns ``(document, csv_table or None)``, or None to write
+    nothing; library exceptions map onto the exit-code contract.
     """
-    key = name if group is main else "%s %s" % (group.name, name)
+    group, _, name = key.rpartition(" ")
 
     def register(handler):
         @functools.wraps(handler)
         def run(config_path, **flags):
-            handler(_settings(key, config_path, flags))
+            try:
+                s = _settings(key, config_path, flags)
+                if s["format"] is None:
+                    s["format"] = fmt
+                out = handler(s)
+                if out is not None:
+                    _emit(s, *out)
+            except QuadratureError as exc:
+                _die(3, "nonconvergence", str(exc))
+            except OverflowError as exc:
+                _die(3, "overflow", str(exc))
+            except (ValueError, OSError) as exc:
+                _die(2, "validation", str(exc))
 
-        cmd = _guard(run)
+        cmd = run
         for deco in _COMMON_OPTIONS:
             cmd = deco(cmd)
         for param, spec in reversed(_DEFAULTS[key].items()):
             cmd = click.option("--" + param.replace("_", "-"), param,
                                type=spec.type, default=None,
                                help=_help_line(spec))(cmd)
-        return group.command(name)(cmd)
+        parent = main
+        if group:
+            parent = main.commands.get(group) or click.Group(group, help=_GROUPS[group])
+            main.add_command(parent)
+        return parent.command(name)(cmd)
     return register
 
 
-@click.group()
-def main():
-    """Weighted half-space kernels, extensions, hitting laws, growth scans."""
-
-
-# ----------------------------------------------------------------- kernel
-
-
-@main.group("kernel")
-def kernel_group():
-    """Pointwise kernel values, total mass, and the PDE residual."""
-
-
-@_command(kernel_group, "eval")
+@_command("kernel eval")
 def kernel_eval(s):
     p = _params(s)
     pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=float(s["y"]))
     value = poisson_kernel(p, pt)
-    click.echo(format_float(value, 17))
-    if s["output"] is not None:
-        _emit(s,
-              {"alpha": p.alpha, "n": p.n, "x": list(pt.x), "y": pt.y,
-               "value": value},
-              tuple("x%d" % (i + 1) for i in range(p.n)) + ("y", "value"),
-              [pt.x + (pt.y, value)])
+    return _summary(s, format_float(value, 17),
+                    {"alpha": p.alpha, "n": p.n, "x": list(pt.x), "y": pt.y,
+                     "value": value},
+                    (_axes(p.n) + ("y", "value"), [pt.x + (pt.y, value)]))
 
 
-@_command(kernel_group, "mass")
+@_command("kernel mass")
 def kernel_mass_cmd(s):
     p = _params(s)
     mass = kernel_mass(p, float(s["y"]))
@@ -349,39 +347,24 @@ def kernel_mass_cmd(s):
     # floored at roundoff for when the two levels coincide exactly
     est = max(abs(mass - kernel_mass(p, float(s["y"]), EvalAccuracy(rel_tol=1e-7))),
               abs(mass) * 2.0**-52)
-    click.echo("%.6f ± %s" % (mass, format_float(est, 2)))
-    if s["output"] is not None:
-        _emit(s,
-              {"alpha": p.alpha, "n": p.n, "y": float(s["y"]), "mass": mass,
-               "error_estimate": est},
-              ("alpha", "n", "y", "mass", "error_estimate"),
-              [(p.alpha, p.n, float(s["y"]), mass, est)])
+    return _summary(s, "%.6f ± %s" % (mass, format_float(est, 2)),
+                    {"alpha": p.alpha, "n": p.n, "y": float(s["y"]), "mass": mass,
+                     "error_estimate": est}, None)
 
 
-@_command(kernel_group, "residual")
+@_command("kernel residual")
 def kernel_residual(s):
     p = _params(s)
     pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=float(s["y"]))
     step = None if s["h"] is None else float(s["h"])
     value = dalpha_residual(lambda q: poisson_kernel(p, q), p, pt, h=step)
-    click.echo(format_float(value, 17))
-    if s["output"] is not None:
-        _emit(s,
-              {"alpha": p.alpha, "n": p.n, "x": list(pt.x), "y": pt.y,
-               "h": pt.y / 100.0 if step is None else step, "residual": value},
-              tuple("x%d" % (i + 1) for i in range(p.n)) + ("y", "residual"),
-              [pt.x + (pt.y, value)])
+    return _summary(s, format_float(value, 17),
+                    {"alpha": p.alpha, "n": p.n, "x": list(pt.x), "y": pt.y,
+                     "h": pt.y / 100.0 if step is None else step, "residual": value},
+                    (_axes(p.n) + ("y", "residual"), [pt.x + (pt.y, value)]))
 
 
-# ---------------------------------------------------------------- fourier
-
-
-@main.group("fourier")
-def fourier_group():
-    """Fourier transform of the kernel, three independent routes."""
-
-
-@_command(fourier_group, "compare")
+@_command("fourier compare", "csv")
 def fourier_compare(s):
     p = _params(s)
     height = float(s["y"])
@@ -398,168 +381,107 @@ def fourier_compare(s):
         else:
             direct = None  # brute-force oracle is n <= 2 only
         rows.append((t, closed, integral, direct))
-    _emit(s,
-          {"alpha": p.alpha, "n": p.n, "y": height,
-           "rows": [{"xi": r[0], "closed_form": r[1], "integral_rep": r[2],
-                     "direct": r[3]} for r in rows]},
-          ("xi", "closed_form", "integral_rep", "direct"),
-          rows)
+    return _table({"alpha": p.alpha, "n": p.n, "y": height},
+                  ("xi", "closed_form", "integral_rep", "direct"), rows)
 
 
-# ----------------------------------------------------------------- extend
-
-
-@_command(main, "extend")
+@_command("extend", "csv")
 def extend_cmd(s):
     """Evaluate the extension u on a grid at one height."""
     bdata, p = _load_data(s)
-    grid = Grid(origin=_floats(s["origin"], "origin"),
-                spacing=float(s["spacing"]),
-                shape=_ints(s["shape"], "shape"))
+    grid = _grid(s)
     height = float(s["y"])
     result = extend_grid(bdata, p, height, grid)
     est = result.quadrature_error_estimate
-    rows = []
-    for idx in np.ndindex(grid.shape):
-        point = tuple(grid.origin[a] + grid.spacing * idx[a] for a in range(p.n))
-        rows.append(point + (height, float(result.values[idx]), est))
-    _emit(s,
-          {"alpha": p.alpha, "n": p.n, "y": height,
-           "origin": list(grid.origin), "spacing": grid.spacing,
-           "shape": list(grid.shape),
-           "values": [float(v) for v in result.values.reshape(-1)],
-           "quadrature_error_estimate": est,
-           "notes": list(result.notes)},
-          tuple("x%d" % (i + 1) for i in range(p.n)) + ("y", "u", "err_estimate"),
-          rows)
+    values = result.values.reshape(-1).tolist()
+    rows = [tuple(x) + (height, u, est)
+            for x, u in zip(grid_points(grid.coords).T.tolist(), values)]
+    return ({"alpha": p.alpha, "n": p.n, "y": height,
+             "origin": list(grid.origin), "spacing": grid.spacing,
+             "shape": list(grid.shape), "values": values,
+             "quadrature_error_estimate": est,
+             "notes": list(result.notes)},
+            (_axes(p.n) + ("y", "u", "err_estimate"), rows))
 
 
-# --------------------------------------------------------------- converge
-
-
-@_command(main, "converge")
+@_command("converge", "csv")
 def converge_cmd(s):
     """Weighted-L1 distance of the extension to its boundary data."""
     bdata, p = _load_data(s)
     ys = _floats(s["y_list"], "y-list")
     errors = boundary_convergence(bdata, p, list(ys))
-    _emit(s,
-          {"alpha": p.alpha, "n": p.n,
-           "rows": [{"y": h, "error": e} for h, e in zip(ys, errors)],
-           "decreasing": bool(all(b < a for a, b in zip(errors, errors[1:])))},
-          ("y", "error"),
-          list(zip(ys, errors)))
+    return _table({"alpha": p.alpha, "n": p.n}, ("y", "error"), list(zip(ys, errors)),
+                  decreasing=bool(all(b < a for a, b in zip(errors, errors[1:]))))
 
 
-# ---------------------------------------------------------------- hitting
-
-
-@main.group("hitting")
-def hitting_group():
-    """Two-level hitting density and its semigroup identity."""
-
-
-@_command(hitting_group, "kernel")
+@_command("hitting kernel", "csv")
 def hitting_kernel_cmd(s):
     p = _params(s)
     lv = LevelPair(y=float(s["y"]), eta=float(s["eta"]))
     radii = _floats(s["r"], "r")
-    rows = list(zip(radii, hitting_kernel(p, lv, np.array(radii)).tolist()))
-    _emit(s,
-          {"alpha": p.alpha, "n": p.n, "y": lv.y, "eta": lv.eta,
-           "rows": [{"r": a, "G": b} for a, b in rows]},
-          ("r", "G"),
-          rows)
+    return _table({"alpha": p.alpha, "n": p.n, "y": lv.y, "eta": lv.eta}, ("r", "G"),
+                  list(zip(radii, hitting_kernel(p, lv, np.array(radii)).tolist())))
 
 
-@_command(hitting_group, "semigroup")
+@_command("hitting semigroup")
 def hitting_semigroup(s):
     p = _params(s)
-    grid = Grid(origin=_floats(s["origin"], "origin"),
-                spacing=float(s["spacing"]),
-                shape=_ints(s["shape"], "shape"))
+    grid = _grid(s)
     deviation = semigroup_check(p, float(s["y"]), float(s["eta2"]),
                                 float(s["eta1"]), grid)
-    _emit_report(s, {
+    return {
         "alpha": p.alpha, "n": p.n, "y": float(s["y"]),
         "eta2": float(s["eta2"]), "eta1": float(s["eta1"]),
         "deviation": deviation, "tolerance": float(s["tol"]),
         "passed": bool(deviation <= float(s["tol"])),
-    })
+    }, None
 
 
-# --------------------------------------------------------------- simulate
-
-
-@main.group("simulate")
-def simulate_group():
-    """Monte Carlo sampling of the stopped diffusion, with KS reports."""
-
-
-def _dump_samples(path, run):
-    n = run.samples.shape[1]
-    header = ("stop_time",) + tuple("x%d" % (i + 1) for i in range(n))
-    rows = [(float(t),) + tuple(float(v) for v in x)
-            for t, x in zip(run.stop_times, run.samples)]
-    with open(path, "w") as fh:
-        fh.write(csv_document(header, rows))
-
-
-@_command(simulate_group, "boundary")
-def simulate_boundary(s):
-    """Run to the boundary and KS-test X against the kernel law."""
+def _simulate(s, lv):
+    """Run the paths, dump them if asked, and KS-test X against its law:
+    the hitting law between the levels of ``lv``, else the boundary law."""
     p = _params(s)
     cfg = SimConfig(p=p, start=HalfSpacePoint(x=(0.0,) * p.n, y=float(s["y"])),
-                    dt=float(s["dt"]), y_stop=0.0, n_paths=int(s["paths"]),
-                    master_seed=_seed(s),
-                    y_floor=None if s["floor"] is None else float(s["floor"]))
+                    dt=float(s["dt"]), y_stop=0.0 if lv is None else lv.eta,
+                    n_paths=int(s["paths"]), master_seed=_seed(s),
+                    y_floor=None if s.get("floor") is None else float(s["floor"]))
     run = simulate_paths(cfg, workers=s["workers"])
     if s["samples"] is not None:
-        _dump_samples(s["samples"], run)
-    report = validate_boundary_law(cfg, workers=s["workers"], samples=run)
-    _emit_report(s, report)
+        rows = [(float(t),) + tuple(float(v) for v in x)
+                for t, x in zip(run.stop_times, run.samples)]
+        with open(s["samples"], "w") as fh:
+            fh.write(csv_document(("stop_time",) + _axes(p.n), rows))
+    if lv is None:
+        return validate_boundary_law(cfg, samples=run), None
+    return validate_hitting_law(cfg, lv, samples=run), None
 
 
-@_command(simulate_group, "hitting")
+@_command("simulate boundary")
+def simulate_boundary(s):
+    """Run to the boundary and KS-test X against the kernel law."""
+    return _simulate(s, None)
+
+
+@_command("simulate hitting")
 def simulate_hitting(s):
     """Run to a positive level and KS-test X against the hitting law."""
-    p = _params(s)
-    lv = LevelPair(y=float(s["y"]), eta=float(s["eta"]))
-    cfg = SimConfig(p=p, start=HalfSpacePoint(x=(0.0,) * p.n, y=lv.y),
-                    dt=float(s["dt"]), y_stop=lv.eta, n_paths=int(s["paths"]),
-                    master_seed=_seed(s))
-    run = simulate_paths(cfg, workers=s["workers"])
-    if s["samples"] is not None:
-        _dump_samples(s["samples"], run)
-    report = validate_hitting_law(cfg, lv, samples=run)
-    _emit_report(s, report)
+    return _simulate(s, LevelPair(y=float(s["y"]), eta=float(s["eta"])))
 
 
-# ----------------------------------------------------------------- growth
-
-
-@main.group("growth")
-def growth_group():
-    """Hemisphere growth scans and the sharpness construction."""
-
-
-@_command(growth_group, "scan")
+@_command("growth scan", "csv")
 def growth_scan(s):
     bdata, p = _load_data(s)
     scan = l1_data_scan(bdata, p, _floats(s["r"], "r"),
                         theta_count=int(s["theta_count"]))
-    rows = [(rv, float(th), float(m)) for rv, th, m in
-            zip(scan.r_values, scan.argmax_theta, scan.sup_values)]
     sup = scan.sup_values
-    _emit(s,
-          {"alpha": p.alpha, "n": p.n, "theta_count": scan.theta_count,
-           "rows": [{"r": a, "theta_argmax": b, "M": c} for a, b, c in rows],
-           "monotone_decreasing": bool(all(sup[1:] < sup[:-1]))},
-          ("r", "theta_argmax", "M"),
-          rows)
+    return _table({"alpha": p.alpha, "n": p.n, "theta_count": scan.theta_count},
+                  ("r", "theta_argmax", "M"),
+                  [(rv, float(th), float(m)) for rv, th, m in
+                   zip(scan.r_values, scan.argmax_theta, sup)],
+                  monotone_decreasing=bool(all(sup[1:] < sup[:-1])))
 
 
-@_command(growth_group, "counterexample")
+@_command("growth counterexample")
 def growth_counterexample(s):
     """Track the sharpness-construction ratios along the bump centres."""
     p = _params(s)
@@ -571,14 +493,10 @@ def growth_counterexample(s):
     beta_eff, gamma_eff = case_exponents(p, case_obj)[:2]
     floor = u_tilde(p)
     tail = [ratio for k, ratio in track if k >= 4]
-    _emit(s,
-          {"alpha": p.alpha, "n": p.n, "case": s["case"],
-           "beta": beta_eff, "gamma": gamma_eff, "k_max": int(s["k_max"]),
-           "u_tilde": floor, "threshold": 0.5 * floor,
-           "rows": [{"k": k, "ratio": ratio} for k, ratio in track],
-           "passed": bool(all(v >= 0.5 * floor for v in tail)) if tail else None},
-          ("k", "ratio"),
-          track)
+    return _table({"alpha": p.alpha, "n": p.n, "case": s["case"],
+                   "beta": beta_eff, "gamma": gamma_eff, "k_max": int(s["k_max"]),
+                   "u_tilde": floor, "threshold": 0.5 * floor}, ("k", "ratio"), track,
+                  passed=bool(all(v >= 0.5 * floor for v in tail)) if tail else None)
 
 
 if __name__ == "__main__":

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import tanh_sinh
 from .boundary_data import (BoundaryData, Grid, WeightedTerm, grid_points,
                             radius_sq, trapezoid_weights)
-from .kernel import MultiIndex, kernel_deriv_eval, unit_sphere_area
+from .kernel import MultiIndex, _cone_mass, kernel_deriv_eval
 
 __all__ = [
     "ExtensionResult",
@@ -299,22 +298,6 @@ def _interp_term(term, axes):
     return vals
 
 
-def _kernel_tail_mass(p, theta0, rel_tol=1e-10):
-    # kernel mass beyond radius y*tan(theta0):
-    #   omega_{n-1} c_norm int_theta0^{pi/2} sin^{n-1} cos^alpha
-    nm1 = p.n - 1
-    alpha = p.alpha
-
-    def f(u, da, db):
-        return np.cos(db) ** nm1 * np.sin(db) ** alpha
-
-    if theta0 >= 0.5 * math.pi:
-        return 0.0
-    value, _ = tanh_sinh(f, theta0, 0.5 * math.pi, rel_tol=rel_tol,
-                         with_distances=True)
-    return unit_sphere_area(p.n) * p.c_norm * value
-
-
 def boundary_convergence(data, p, y_list):
     """Weighted-L1 distance between the extension at height y and the data.
 
@@ -397,7 +380,7 @@ def boundary_convergence(data, p, y_list):
     for y in ys:
         u = extend_grid(data, p, y, eval_grid).values
         err = float(np.sum(np.abs(u - f_vals) * w_inv * trap))
-        tail = _kernel_tail_mass(p, math.atan2(margin, y)) * w_sup * mass
+        tail = _cone_mass(p, math.atan2(margin, y), 1e-10) * w_sup * mass
         out.append(err + tail)
     return out
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import panel_integrate, tanh_sinh
+from ._quadrature import panel_integrate
 from .hitting import LevelPair, hitting_kernel
-from .kernel import HalfSpacePoint, ModelParams
+from .kernel import _POLE_GAP, HalfSpacePoint, ModelParams, _pole_series
 from .special_functions import EvalAccuracy
 
 _MAX_CHUNK = 8192  # most steps drawn per RNG call
@@ -242,10 +242,12 @@ def ks_statistic(samples, cdf):
 def boundary_kernel_cdf(p: ModelParams, y):
     """CDF evaluator for the n=1 boundary kernel at height y.
 
-    The substitution x = y tan(theta) turns the kernel integral into
-    c_norm * cos(theta)^alpha d(theta), which is integrated cumulatively
-    between the (sorted) query points; the piece from -pi/2 to the first
-    point gets the endpoint-singularity-aware rule.
+    In s = atan2(y, |x|), the angle from the nearer pole, the kernel's mass
+    beyond x on its own side is M(s) = c_norm Int_0^s sin(t)^alpha dt, free
+    of cancellation for every alpha > -1.  M is integrated cumulatively on
+    Gauss panels between the query angles and a base grid, geometric from
+    the series' reach to pi/2 and never coarser than pi/512, and taken from
+    the series below it.  F(x) is M(s) for x < 0 and 1 - M(s) for x >= 0.
     """
     if p.n != 1:
         raise ValueError("closed cumulative form is one-dimensional")
@@ -253,23 +255,20 @@ def boundary_kernel_cdf(p: ModelParams, y):
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError(f"height must be positive and finite, got {y}")
 
-    base = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 513)[1:-1]
+    base = np.union1d(np.geomspace(_POLE_GAP, 0.5 * math.pi, 129),
+                      np.linspace(0.0, 0.5 * math.pi, 257)[1:])
 
     def cdf(xs):
-        theta = np.arctan(np.asarray(xs, dtype=float) / y)
-        # integrate over the union of query angles and a fixed fine grid, so
-        # sparse queries never produce wide panels near the +-pi/2 branch
-        # points of cos^alpha
-        edges = np.union1d(theta, base)
-        head, _ = tanh_sinh(
-            lambda t, da, db: np.sin(da) ** p.alpha,
-            -0.5 * math.pi,
-            float(edges[0]),
-            with_distances=True,
-        )
-        pieces = panel_integrate(lambda t: np.cos(t) ** p.alpha, edges, order=8)
-        cum = p.c_norm * (head + np.concatenate([[0.0], np.cumsum(pieces)]))
-        return cum[np.searchsorted(edges, theta)]
+        xs = np.asarray(xs, dtype=float)
+        s = np.arctan2(y, np.abs(xs))
+        edges = np.union1d(np.maximum(s, _POLE_GAP), base)
+        pieces = panel_integrate(lambda t: np.sin(t) ** p.alpha, edges, order=8)
+        cum = _pole_series(p, _POLE_GAP) + np.concatenate([[0.0], np.cumsum(pieces)])
+        m = np.array(cum[np.searchsorted(edges, s)])  # 0-d for a scalar query
+        near = s < _POLE_GAP
+        m[near] = _pole_series(p, s[near])
+        m *= p.c_norm
+        return np.where(xs < 0.0, m, 1.0 - m)
 
     return cdf
 

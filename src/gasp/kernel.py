@@ -150,30 +150,48 @@ def kernel_mass(p, y, acc=EvalAccuracy()):
 
     r = y tan(u) reduces the radial integral to
         omega_{n-1} c_norm Int_0^{pi/2} sin(u)^{n-1} cos(u)^alpha du,
-    independent of y because the kernel family is scale invariant. For
-    alpha in (-1, 0) the cos^alpha factor is an integrable endpoint
-    singularity too strong near alpha = -1 for the quadrature alone, so
-    the last eps of the interval is integrated analytically from the
-    series sin(s)^alpha cos(s)^(n-1) = s^alpha (1 - c2 s^2 + O(s^4)),
-    written in s = pi/2 - u.
+    independent of y because the kernel family is scale invariant.
     """
-    _ = float(y)  # participates only through the (exact) substitution
-    if not (_ > 0.0):
-        raise ValueError("y must be > 0, got %r" % (y,))
+    y = float(y)  # participates only through the (exact) substitution
+    if not (y > 0.0 and math.isfinite(y)):
+        raise ValueError("y must be finite and > 0, got %r" % (y,))
+    return _cone_mass(p, 0.0, 0.1 * acc.rel_tol)
+
+
+_POLE_GAP = 1e-6  # below this distance to pi/2 the series is exact to rounding
+
+
+def _pole_series(p, s):
+    """Int_0^s sin(t)^alpha cos(t)^(n-1) dt for 0 <= s <= _POLE_GAP.
+
+    From sin(t)^alpha cos(t)^(n-1) = t^alpha (1 - c2 t^2 + O(t^4)); the
+    quadrature alone cannot resolve t^alpha near alpha = -1.
+    """
+    c2 = p.alpha / 6.0 + 0.5 * (p.n - 1)
+    return (s ** (p.alpha + 1.0) / (p.alpha + 1.0)
+            - c2 * s ** (p.alpha + 3.0) / (p.alpha + 3.0))
+
+
+def _cone_mass(p, theta, rel_tol):
+    """Kernel mass outside the cone of half-angle theta about the y axis,
+    omega_{n-1} c_norm Int_theta^{pi/2} sin(u)^{n-1} cos(u)^alpha du.
+
+    For alpha in (-1, 0) cos^alpha is an integrable endpoint singularity,
+    so the last _POLE_GAP below pi/2 comes from its series, written in
+    s = pi/2 - u; tanh-sinh covers the rest.
+    """
     nm1 = p.n - 1
     alpha = p.alpha
-    eps = 1e-6
+    eps = _POLE_GAP
+    value = 0.0
+    if theta < 0.5 * math.pi - eps:
+        def f(u, da, db):
+            s = db + eps  # true distance to pi/2, free of cancellation
+            return np.cos(s) ** nm1 * np.sin(s) ** alpha
 
-    def f(u, da, db):
-        s = db + eps  # true distance to pi/2, free of cancellation
-        return np.cos(s) ** nm1 * np.sin(s) ** alpha
-
-    value, _err = tanh_sinh(f, 0.0, 0.5 * math.pi - eps,
-                            rel_tol=0.1 * acc.rel_tol,
-                            with_distances=True)
-    c2 = alpha / 6.0 + 0.5 * nm1
-    tail = (eps ** (alpha + 1.0) / (alpha + 1.0)
-            - c2 * eps ** (alpha + 3.0) / (alpha + 3.0))
+        value, _err = tanh_sinh(f, theta, 0.5 * math.pi - eps,
+                                rel_tol=rel_tol, with_distances=True)
+    tail = _pole_series(p, min(eps, max(0.5 * math.pi - theta, 0.0)))
     return unit_sphere_area(p.n) * p.c_norm * (value + tail)
 
 

@@ -367,10 +367,10 @@ _TABLE_ARGS = {
                           "shape": "3", "tol": "0.5"},
     "simulate boundary": {"alpha": "2", "n": "1", "y": "1.5", "paths": "20",
                           "dt": "0.01", "floor": "0.01", "seed": "3",
-                          "samples": "{samples}"},
+                          "samples": "{samples}", "workers": "2"},
     "simulate hitting": {"alpha": "0", "n": "1", "y": "2.5", "eta": "1.5",
                          "paths": "20", "dt": "0.01", "seed": "5",
-                         "samples": "{samples}"},
+                         "samples": "{samples}", "workers": "2"},
     "growth scan": {"data": "{data}", "alpha": "0", "n": "1", "r": "4,8",
                     "theta_count": "16"},
     "growth counterexample": {"alpha": "0", "n": "1", "case": "critical",
@@ -388,7 +388,8 @@ def test_every_table_parameter_reaches_its_command(command, runner, tent_file,
     words = command.split()
     help_text = runner.invoke(main, words + ["--help"]).output
     helped = set(re.findall(r"--[\w-]+", help_text))
-    assert "--workers" in helped
+    # only the simulate commands have work to split
+    assert ("--workers" in helped) == (words[0] == "simulate")
     # --help is where the defaults are documented
     flat = " ".join(help_text.split())
     for key, spec in table.items():
@@ -404,7 +405,7 @@ def test_every_table_parameter_reaches_its_command(command, runner, tent_file,
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         doc = tmp_path / "doc"
-        result = runner.invoke(main, argv + ["--config", str(cfg), "--workers", "2",
+        result = runner.invoke(main, argv + ["--config", str(cfg),
                                              "--output", str(doc)])
         assert result.exit_code == 0, result.output + result.stderr
         return result.stdout, doc.read_bytes()
@@ -415,6 +416,95 @@ def test_every_table_parameter_reaches_its_command(command, runner, tent_file,
         value = click.types.convert_type(spec.type).convert(args[key], None, None)
         rest = {k: v for k, v in args.items() if k != key}
         assert run(rest, {key: value}) == want, key
+
+
+# the five commands whose JSON documents carry rows, each at two inputs
+_ROW_COMMANDS = [
+    ["fourier", "compare", "--alpha", "1", "--n", "1", "--y", "1.5",
+     "--xi", "0.5,1,2"],
+    ["fourier", "compare", "--alpha", "0.5", "--n", "3", "--y", "1", "--xi", "1,3"],
+    ["converge", "--data", "{data}", "--y-list", "1,0.5,0.25"],
+    ["converge", "--data", "{data}", "--y-list", "2,0.125"],
+    ["hitting", "kernel", "--alpha", "0", "--n", "1", "--y", "2", "--eta", "1",
+     "--r", "0,0.5,2"],
+    ["hitting", "kernel", "--alpha", "1.5", "--n", "2", "--y", "3", "--eta", "2",
+     "--r", "0.25,4"],
+    ["growth", "scan", "--data", "{data}", "--r", "4,8,16", "--theta-count", "16"],
+    ["growth", "scan", "--data", "{data}", "--r", "2,3", "--theta-count", "24"],
+    ["growth", "counterexample", "--alpha", "0", "--n", "1", "--k-max", "6"],
+    ["growth", "counterexample", "--alpha", "1", "--n", "2", "--case", "critical",
+     "--gamma", "0.5", "--k-max", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _ROW_COMMANDS,
+                         ids=lambda a: "-".join(w for w in a[:2] if w[0] != "-"))
+def test_json_rows_and_csv_rows_are_one_table(argv, runner, tent_file):
+    argv = [a.format(data=tent_file) for a in argv]
+    as_json = runner.invoke(main, argv + ["--format", "json"])
+    as_csv = runner.invoke(main, argv + ["--format", "csv"])
+    assert as_json.exit_code == 0 == as_csv.exit_code, as_json.stderr
+    rows = json.loads(as_json.output)["rows"]
+    header, *lines = [line.split(",") for line in as_csv.output.splitlines()]
+    assert len(lines) == len(rows) > 0
+    for row, line in zip(rows, lines):
+        assert list(row) == header
+        for value, cell in zip(row.values(), line):
+            if value is None:
+                assert cell == ""
+            else:
+                assert float(cell) == float("%.9g" % value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "mass", "--alpha", "1", "--n", "1"],
+    ["extend", "--data", "{data}", "--y", "0.5", "--origin=-2", "--spacing", "1",
+     "--shape", "5"],
+    ["hitting", "semigroup", "--alpha", "0", "--n", "1", "--y", "3", "--eta2", "2",
+     "--eta1", "1", "--origin=-1", "--spacing", "1", "--shape", "3"],
+])
+def test_workers_is_a_simulate_option_only(argv, runner, tent_file):
+    argv = [a.format(data=tent_file) for a in argv]
+    assert runner.invoke(main, argv).exit_code == 0
+    result = runner.invoke(main, argv + ["--workers", "2"])
+    assert result.exit_code == 2
+    assert "No such option '--workers'" in result.stderr
+    assert result.stderr.startswith("Usage:")
+
+
+def test_simulate_workers_below_one_exits_2_with_json_error(runner):
+    result = runner.invoke(main, ["simulate", "hitting", "--alpha", "0", "--n", "1",
+                                  "--paths", "10", "--workers", "0"])
+    assert result.exit_code == 2
+    assert _stderr_doc(result) == {"error": "validation",
+                                   "message": "workers must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.99])
+def test_converge_near_alpha_minus_one(alpha, runner, tmp_path):
+    # the kernel's tail mass outside the window needs the series at pi/2
+    xs = np.linspace(-1.0, 1.0, 65)
+    term = WeightedTerm(beta=MultiIndex((0,)),
+                        grid=Grid(origin=(-1.0,), spacing=float(xs[1] - xs[0]),
+                                  shape=(65,)),
+                        values=np.maximum(1.0 - np.abs(xs), 0.0))
+    path = tmp_path / "tent.json"
+    save_data(BoundaryData(params_hint=ModelParams(alpha, 1), terms=(term,)), path)
+    result = runner.invoke(main, ["converge", "--data", str(path), "--y-list",
+                                  "1,0.5,0.25,0.125", "--format", "json"])
+    assert result.exit_code == 0, result.stderr
+    doc = json.loads(result.output)
+    errors = [row["error"] for row in doc["rows"]]
+    assert all(math.isfinite(e) for e in errors)
+    assert doc["decreasing"] is True
+
+
+def test_kernel_mass_rejects_non_finite_height(runner):
+    for height in ("inf", "nan"):
+        result = runner.invoke(main, ["kernel", "mass", "--alpha", "1", "--n", "1",
+                                      "--y", height])
+        assert result.exit_code == 2
+        assert _stderr_doc(result)["error"] == "validation"
 
 
 def test_help_lists_every_subcommand(runner):

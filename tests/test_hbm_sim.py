@@ -340,6 +340,19 @@ def test_boundary_cdf_cauchy_closed_form():
     assert np.max(np.abs(cdf(xs) - want)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [-0.999, -0.95, -0.9, -0.5, 0.0, 0.5, 1.7, 3.0, 30.0])
+def test_boundary_cdf_is_student_t(alpha):
+    # the n = 1 kernel is Student's t with alpha + 1 degrees of freedom and
+    # scale y / sqrt(alpha + 1); far tails and alpha near -1 are the hard cases
+    stats = pytest.importorskip("scipy.stats")
+    y = 1.3
+    xs = np.array([-1e12, -1e6, -100.0, -10.0, -1.0, 0.0, 0.7, 1.0, 10.0,
+                   100.0, 1e6, 1e12])
+    want = stats.t(df=alpha + 1.0, scale=y / math.sqrt(alpha + 1.0)).cdf(xs)
+    got = boundary_kernel_cdf(ModelParams(alpha=alpha, n=1), y)(xs)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
 def test_boundary_cdf_symmetry_and_range():
     cdf = boundary_kernel_cdf(ModelParams(alpha=1.7, n=1), 0.8)
     vals = cdf(np.array([-50.0, 0.0, 50.0]))

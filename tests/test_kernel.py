@@ -8,6 +8,7 @@ from gasp.kernel import (
     HalfSpacePoint,
     ModelParams,
     MultiIndex,
+    _cone_mass,
     dalpha_residual,
     kernel_derivative,
     kernel_mass,
@@ -180,10 +181,28 @@ def test_kernel_mass_classical_case():
 
 
 def test_kernel_mass_domain():
-    with pytest.raises(ValueError):
-        kernel_mass(ModelParams(0.0, 1), 0.0)
-    with pytest.raises(ValueError):
-        kernel_mass(ModelParams(0.0, 1), -2.0)
+    for y in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            kernel_mass(ModelParams(0.0, 1), y)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 1.5, 0.5 * math.pi - 1e-4,
+                                   0.5 * math.pi - 1e-7, 0.5 * math.pi])
+def test_cone_mass_cauchy_closed_form(theta):
+    # alpha = 0, n = 1: the Cauchy kernel puts 1 - 2 theta / pi beyond
+    # |x| = y tan(theta); the last two angles lie inside the series' reach
+    got = _cone_mass(ModelParams(0.0, 1), theta, 1e-10)
+    assert got == pytest.approx(1.0 - 2.0 * theta / math.pi, rel=1e-12, abs=1e-16)
+
+
+@pytest.mark.parametrize("alpha", [-0.999, -0.99, -0.9])
+def test_cone_mass_near_alpha_minus_one(alpha):
+    # tanh-sinh alone cannot resolve cos^alpha at pi/2 here; the mass stays
+    # in (0, 1) and decreases in theta
+    p = ModelParams(alpha, 1)
+    masses = [_cone_mass(p, t, 1e-10) for t in (0.0, 0.5, 1.0, 1.5, 1.57)]
+    assert masses[0] == pytest.approx(1.0, abs=1e-10)
+    assert all(1.0 > b > 0.0 and b < a for a, b in zip(masses, masses[1:]))
 
 
 # ---------------------------------------------------------------------------
