@@ -6,9 +6,11 @@ Three families cover every integral in the library:
   integrable endpoint singularities such as cos^alpha near pi/2;
 * exp-sinh rules on a half line, for integrands with algebraic behaviour
   at the finite end and (at least) exponential decay at infinity;
-* lobe-splitting with iterated averaging for oscillatory integrals
-  (cosine/Bessel factors), where plain rules stall.
+* the ray rule, a trapezoid rule in tau under t = exp(tau - e^{-tau}),
+  for analytic integrands carried onto a ray t e^{i phi} in the complex
+  plane, where an oscillatory factor such as e^{-ix xi} decays instead.
 
+Composite Gauss-Legendre panels serve smooth integrands on given panels.
 All integrators report an error estimate and raise QuadratureError instead
 of silently returning garbage when they fail to converge.
 """
@@ -157,7 +159,7 @@ def exp_sinh(f, a=0.0, scale=1.0, rel_tol=1e-12, abs_tol=0.0, max_level=12):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre panels and oscillatory lobe sums
+# Gauss-Legendre panels
 
 
 @lru_cache(maxsize=16)
@@ -182,84 +184,22 @@ def panel_integrate(f, edges, order=16):
     return half * (fv @ weights)
 
 
-def _averaging_diagonal(partial_sums):
-    """Iterated-averaging (Euler transform) limit estimate.
+# ---------------------------------------------------------------------------
+# the ray rule on [0, inf)
 
-    Repeatedly averages adjacent partial sums; for an alternating tail the
-    final entry converges far faster than the plain sequence. Operates on
-    the last axis, so a matrix of per-row partial sums works too.
+
+def ray_nodes(lo, hi, step, level, denom):
+    """Nodes t and weights dt/dtau of the ray rule new at ``level``.
+
+    t = exp(tau - e^{-tau}) / denom on a tau-grid over [lo, hi]: the nodes
+    thin out double exponentially towards 0 and exponentially towards inf.
+    Level 0 takes the multiples of ``step`` between even multiples around
+    [lo, hi], so its even nodes are the rule at twice the step; level k adds
+    the odd multiples of step / 2^k. Callers sum weight * g(t e^{i phi})
+    e^{i phi} times the step of the level.
     """
-    row = np.asarray(partial_sums)
-    while row.shape[-1] > 1:
-        row = 0.5 * (row[..., 1:] + row[..., :-1])
-    return row[..., 0]
-
-
-def lobe_edges(boundaries, feature):
-    """Lobe boundaries for integrate_lobes_rows on [0, inf).
-
-    boundaries yields the sign changes b1 < b2 < ... of the oscillatory
-    factor. When the first lobe [0, b1) is much wider than the feature
-    scale of the rest of the integrand, one Gauss panel cannot resolve its
-    peak, so that lobe is first split geometrically from 0.25 * feature.
-    """
-    boundaries = iter(boundaries)
-    first = next(boundaries)
-    yield 0.0
-    e = 0.25 * feature
-    while e < 0.75 * first:
-        yield e
-        e *= 2.0
-    yield first
-    yield from boundaries
-
-
-def integrate_lobes_rows(f, boundary_gen, rel_tol=1e-10, abs_tol=0.0,
-                         max_lobes=512, order=32, block=16):
-    """Integrate each row of f over [b0, inf), split at b0 < b1 < ...
-
-    boundary_gen yields the lobe boundaries, which should bracket sign
-    changes of the oscillatory factor (consecutive zeros); each lobe gets
-    a Gauss-Legendre rule and each row's alternating lobe series is
-    accelerated by iterated averaging. f(x) must return a matrix of shape
-    (rows, x.size), possibly complex: many integrands sharing one set of
-    lobe boundaries (e.g. an oscillatory inner integral evaluated for a
-    whole batch of outer quadrature nodes), or one row for one integrand.
-    Rows whose magnitude is far below the largest row are held to a
-    proportionally absolute tolerance, since they cannot matter
-    downstream. Returns (values, worst_error).
-    """
-    nodes, weights = gauss_legendre(order)
-    last_edge = next(boundary_gen)
-    lobes = None
-    best = None
-    err = math.inf
-    for _ in range(max(1, max_lobes // block)):
-        edges = [last_edge]
-        for _ in range(block):
-            edges.append(next(boundary_gen))
-        last_edge = edges[-1]
-        e = np.asarray(edges, dtype=float)
-        mid = 0.5 * (e[1:] + e[:-1])
-        half = 0.5 * (e[1:] - e[:-1])
-        x = mid[:, None] + half[:, None] * nodes[None, :]
-        fv = f(x.ravel())
-        fv = fv.reshape(fv.shape[0], x.shape[0], order)
-        vals = (fv @ weights) * half[None, :]
-        lobes = vals if lobes is None else np.concatenate([lobes, vals],
-                                                          axis=1)
-        partial = np.cumsum(lobes, axis=1)
-        tail = partial[:, max(0, partial.shape[1] - 24):]
-        v_full = _averaging_diagonal(tail)
-        v_drop = _averaging_diagonal(tail[:, :-1])
-        err_rows = np.abs(v_full - v_drop)
-        scale = np.max(np.abs(v_full)) if v_full.size else 0.0
-        floor = np.maximum(np.abs(v_full), 1e-6 * scale)
-        if lobes.shape[1] >= 2 * block \
-                and np.all(err_rows <= rel_tol * floor + abs_tol):
-            return v_full, float(np.max(err_rows))
-        best = v_full
-        err = float(np.max(err_rows))
-    raise QuadratureError(
-        "row lobe sums did not settle (worst err %.2e)" % err,
-        value=best, error_estimate=err)
+    k = np.arange(2 ** (level + 1) * math.floor(0.5 * lo / step),
+                  2 ** (level + 1) * math.ceil(0.5 * hi / step) + 1)
+    tau = step / 2 ** level * (k[k % 2 == 1] if level else k)
+    t = np.exp(tau - np.exp(-tau)) / denom
+    return t, t * (1.0 + np.exp(-tau))

@@ -52,12 +52,16 @@ class _Required:
 
 _REQ = _Required()
 
-# shared by every subcommand; "output": None means stdout
-_COMMON = {"format": None, "output": None}
-
 # one command-line parameter: its default, its click type (None: text)
 # and its help line; the flag is the key with "_" spelled "-"
 _Param = collections.namedtuple("_Param", "default type help")
+
+# shared by every subcommand; "output": None means stdout
+_COMMON = {
+    "format": _Param(None, click.Choice(("json", "csv")), "Primary document format."),
+    "output": _Param(None, click.Path(dir_okay=False),
+                     "Write the primary document here instead of stdout."),
+}
 
 _ALPHA = _Param(_REQ, float, "Weight exponent, > -1.")
 _N = _Param(_REQ, int, "Boundary dimension.")
@@ -147,9 +151,14 @@ def _die(code, kind, message):
 
 
 def _settings(command, config_path, flags):
-    """Merge defaults, config-file values, and explicit flags (in that order)."""
-    merged = {key: spec.default for key, spec in _DEFAULTS[command].items()}
-    merged.update(_COMMON)
+    """Merge defaults, config-file values, and explicit flags (in that order).
+
+    A config value passes through its flag's click type in its text form,
+    so it reaches the handler as the flag would: 1.7 is no integer and
+    "xml" no format. Text parameters keep lists as they are.
+    """
+    specs = dict(_DEFAULTS[command], **_COMMON)
+    merged = {key: spec.default for key, spec in specs.items()}
     if config_path is not None:
         with open(config_path) as fh:
             try:
@@ -163,6 +172,13 @@ def _settings(command, config_path, flags):
             if key not in merged:
                 raise ValueError("config file %s: unknown parameter %r for %r"
                                  % (config_path, key, command))
+            if specs[key].type is not None and value is not None:
+                try:
+                    value = click.types.convert_type(specs[key].type).convert(
+                        str(value), None, None)
+                except click.BadParameter as exc:
+                    raise ValueError("config file %s: %s: %s"
+                                     % (config_path, key, exc.message))
             merged[key] = value
     for key, value in flags.items():
         if value is not None:
@@ -175,20 +191,17 @@ def _settings(command, config_path, flags):
 
 
 def _params(settings):
-    return ModelParams(float(settings["alpha"]), int(settings["n"]))
+    return ModelParams(settings["alpha"], settings["n"])
 
 
 def _seed(settings):
     value = settings.get("seed")
     if value is None:
-        env = os.environ.get("GASP_SEED")
-        if env is None:
-            return 0
+        env = os.environ.get("GASP_SEED", "0")
         try:
             value = int(env)
         except ValueError:
             raise ValueError("GASP_SEED must be an integer, got %r" % env)
-    value = int(value)
     if not (0 <= value < 2**64):
         raise ValueError("seed must be a 64-bit unsigned integer, got %d" % value)
     return value
@@ -212,7 +225,7 @@ def _floats(value, name):
 
 def _grid(s):
     """The grid given by ``--origin``, ``--spacing`` and ``--shape``."""
-    origin, spacing = _floats(s["origin"], "origin"), float(s["spacing"])
+    origin, spacing = _floats(s["origin"], "origin"), s["spacing"]
     shape = _floats(s["shape"], "shape")
     if any(int(v) != v for v in shape):
         raise ValueError("shape: expected integers, got %r" % (s["shape"],))
@@ -223,10 +236,10 @@ def _load_data(settings):
     """Read a boundary-data file; flags may restate alpha/n but not change them."""
     data = load_data(settings["data"])
     p = data.params_hint
-    if settings.get("alpha") is not None and float(settings["alpha"]) != p.alpha:
+    if settings.get("alpha") is not None and settings["alpha"] != p.alpha:
         raise ValueError("--alpha %s disagrees with the data file (alpha = %s)"
                          % (settings["alpha"], p.alpha))
-    if settings.get("n") is not None and int(settings["n"]) != p.n:
+    if settings.get("n") is not None and settings["n"] != p.n:
         raise ValueError("--n %s disagrees with the data file (n = %d)"
                          % (settings["n"], p.n))
     return data, p
@@ -263,15 +276,9 @@ def _summary(s, line, doc, table):
     return None if s["output"] is None else (doc, table)
 
 
-_COMMON_OPTIONS = (
-    click.option("--format", type=click.Choice(("json", "csv")),
-                 default=None, help="Primary document format."),
-    click.option("--output", type=click.Path(dir_okay=False), default=None,
-                 help="Write the primary document here instead of stdout."),
-    click.option("--config", "config_path",
-                 type=click.Path(exists=True, dir_okay=False), default=None,
-                 help="JSON object of parameter values; flags override it."),
-)
+_CONFIG_OPTION = click.option(
+    "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+    default=None, help="JSON object of parameter values; flags override it.")
 
 
 def _help_line(spec):
@@ -313,13 +320,16 @@ def _command(key, fmt="json"):
             except (ValueError, OSError) as exc:
                 _die(2, "validation", str(exc))
 
+        def option(param, spec):
+            return click.option("--" + param.replace("_", "-"), param,
+                                type=spec.type, default=None, help=_help_line(spec))
+
         cmd = run
-        for deco in _COMMON_OPTIONS:
-            cmd = deco(cmd)
+        for param, spec in _COMMON.items():
+            cmd = option(param, spec)(cmd)
+        cmd = _CONFIG_OPTION(cmd)
         for param, spec in reversed(_DEFAULTS[key].items()):
-            cmd = click.option("--" + param.replace("_", "-"), param,
-                               type=spec.type, default=None,
-                               help=_help_line(spec))(cmd)
+            cmd = option(param, spec)(cmd)
         parent = main
         if group:
             parent = main.commands.get(group) or click.Group(group, help=_GROUPS[group])
@@ -331,7 +341,7 @@ def _command(key, fmt="json"):
 @_command("kernel eval")
 def kernel_eval(s):
     p = _params(s)
-    pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=float(s["y"]))
+    pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=s["y"])
     value = poisson_kernel(p, pt)
     return _summary(s, format_float(value, 17),
                     {"alpha": p.alpha, "n": p.n, "x": list(pt.x), "y": pt.y,
@@ -342,32 +352,31 @@ def kernel_eval(s):
 @_command("kernel mass")
 def kernel_mass_cmd(s):
     p = _params(s)
-    mass = kernel_mass(p, float(s["y"]))
+    mass = kernel_mass(p, s["y"])
     # sequence-difference estimate: same quadrature at a coarser tolerance,
     # floored at roundoff for when the two levels coincide exactly
-    est = max(abs(mass - kernel_mass(p, float(s["y"]), EvalAccuracy(rel_tol=1e-7))),
+    est = max(abs(mass - kernel_mass(p, s["y"], EvalAccuracy(rel_tol=1e-7))),
               abs(mass) * 2.0**-52)
     return _summary(s, "%.6f ± %s" % (mass, format_float(est, 2)),
-                    {"alpha": p.alpha, "n": p.n, "y": float(s["y"]), "mass": mass,
+                    {"alpha": p.alpha, "n": p.n, "y": s["y"], "mass": mass,
                      "error_estimate": est}, None)
 
 
 @_command("kernel residual")
 def kernel_residual(s):
     p = _params(s)
-    pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=float(s["y"]))
-    step = None if s["h"] is None else float(s["h"])
-    value = dalpha_residual(lambda q: poisson_kernel(p, q), p, pt, h=step)
+    pt = HalfSpacePoint(x=_floats(s["x"], "x"), y=s["y"])
+    value = dalpha_residual(lambda q: poisson_kernel(p, q), p, pt, h=s["h"])
     return _summary(s, format_float(value, 17),
                     {"alpha": p.alpha, "n": p.n, "x": list(pt.x), "y": pt.y,
-                     "h": pt.y / 100.0 if step is None else step, "residual": value},
+                     "h": pt.y / 100.0 if s["h"] is None else s["h"], "residual": value},
                     (_axes(p.n) + ("y", "residual"), [pt.x + (pt.y, value)]))
 
 
 @_command("fourier compare", "csv")
 def fourier_compare(s):
     p = _params(s)
-    height = float(s["y"])
+    height = s["y"]
     rows = []
     for t in _floats(s["xi"], "xi"):
         if not t > 0.0:
@@ -390,7 +399,7 @@ def extend_cmd(s):
     """Evaluate the extension u on a grid at one height."""
     bdata, p = _load_data(s)
     grid = _grid(s)
-    height = float(s["y"])
+    height = s["y"]
     result = extend_grid(bdata, p, height, grid)
     est = result.quadrature_error_estimate
     values = result.values.reshape(-1).tolist()
@@ -417,7 +426,7 @@ def converge_cmd(s):
 @_command("hitting kernel", "csv")
 def hitting_kernel_cmd(s):
     p = _params(s)
-    lv = LevelPair(y=float(s["y"]), eta=float(s["eta"]))
+    lv = LevelPair(y=s["y"], eta=s["eta"])
     radii = _floats(s["r"], "r")
     return _table({"alpha": p.alpha, "n": p.n, "y": lv.y, "eta": lv.eta}, ("r", "G"),
                   list(zip(radii, hitting_kernel(p, lv, np.array(radii)).tolist())))
@@ -427,13 +436,12 @@ def hitting_kernel_cmd(s):
 def hitting_semigroup(s):
     p = _params(s)
     grid = _grid(s)
-    deviation = semigroup_check(p, float(s["y"]), float(s["eta2"]),
-                                float(s["eta1"]), grid)
+    deviation = semigroup_check(p, s["y"], s["eta2"], s["eta1"], grid)
     return {
-        "alpha": p.alpha, "n": p.n, "y": float(s["y"]),
-        "eta2": float(s["eta2"]), "eta1": float(s["eta1"]),
-        "deviation": deviation, "tolerance": float(s["tol"]),
-        "passed": bool(deviation <= float(s["tol"])),
+        "alpha": p.alpha, "n": p.n, "y": s["y"],
+        "eta2": s["eta2"], "eta1": s["eta1"],
+        "deviation": deviation, "tolerance": s["tol"],
+        "passed": bool(deviation <= s["tol"]),
     }, None
 
 
@@ -441,10 +449,10 @@ def _simulate(s, lv):
     """Run the paths, dump them if asked, and KS-test X against its law:
     the hitting law between the levels of ``lv``, else the boundary law."""
     p = _params(s)
-    cfg = SimConfig(p=p, start=HalfSpacePoint(x=(0.0,) * p.n, y=float(s["y"])),
-                    dt=float(s["dt"]), y_stop=0.0 if lv is None else lv.eta,
-                    n_paths=int(s["paths"]), master_seed=_seed(s),
-                    y_floor=None if s.get("floor") is None else float(s["floor"]))
+    cfg = SimConfig(p=p, start=HalfSpacePoint(x=(0.0,) * p.n, y=s["y"]),
+                    dt=s["dt"], y_stop=0.0 if lv is None else lv.eta,
+                    n_paths=s["paths"], master_seed=_seed(s),
+                    y_floor=s.get("floor"))
     run = simulate_paths(cfg, workers=s["workers"])
     if s["samples"] is not None:
         rows = [(float(t),) + tuple(float(v) for v in x)
@@ -465,14 +473,14 @@ def simulate_boundary(s):
 @_command("simulate hitting")
 def simulate_hitting(s):
     """Run to a positive level and KS-test X against the hitting law."""
-    return _simulate(s, LevelPair(y=float(s["y"]), eta=float(s["eta"])))
+    return _simulate(s, LevelPair(y=s["y"], eta=s["eta"]))
 
 
 @_command("growth scan", "csv")
 def growth_scan(s):
     bdata, p = _load_data(s)
     scan = l1_data_scan(bdata, p, _floats(s["r"], "r"),
-                        theta_count=int(s["theta_count"]))
+                        theta_count=s["theta_count"])
     sup = scan.sup_values
     return _table({"alpha": p.alpha, "n": p.n, "theta_count": scan.theta_count},
                   ("r", "theta_argmax", "M"),
@@ -486,15 +494,15 @@ def growth_counterexample(s):
     """Track the sharpness-construction ratios along the bump centres."""
     p = _params(s)
     if s["case"] == "subcritical":
-        case_obj = SubcriticalCase(beta=float(s["beta"]), gamma=float(s["gamma"]))
+        case_obj = SubcriticalCase(beta=s["beta"], gamma=s["gamma"])
     else:
-        case_obj = CriticalCase(gamma=float(s["gamma"]))
-    track = counterexample_track(p, case_obj, int(s["k_max"]))
+        case_obj = CriticalCase(gamma=s["gamma"])
+    track = counterexample_track(p, case_obj, s["k_max"])
     beta_eff, gamma_eff = case_exponents(p, case_obj)[:2]
     floor = u_tilde(p)
     tail = [ratio for k, ratio in track if k >= 4]
     return _table({"alpha": p.alpha, "n": p.n, "case": s["case"],
-                   "beta": beta_eff, "gamma": gamma_eff, "k_max": int(s["k_max"]),
+                   "beta": beta_eff, "gamma": gamma_eff, "k_max": s["k_max"],
                    "u_tilde": floor, "threshold": 0.5 * floor}, ("k", "ratio"), track,
                   passed=bool(all(v >= 0.5 * floor for v in tail)) if tail else None)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import QuadratureError
+from ._quadrature import QuadratureError, ray_nodes
 from .boundary_data import Grid, radius_sq
 from .kernel import ModelParams, kernel_profile, unit_sphere_area
 from .special_functions import EvalAccuracy, _lgamma_pos, log_bessel_k
@@ -128,14 +128,13 @@ def _small_arg_ft(nu, levels, s):
     return np.minimum(one_minus_r_y / one_minus_r_eta, 1.0)
 
 
-# The ray rule: t = exp(tau - e^{-tau}) / (3 w cos phi) on tau = k * step,
-# w = gap (or c/3 if larger), nodes thinning out double exponentially
-# towards 0 and inf. tau runs from t w cos phi ~ 3e-8 (1e-16 without the
-# far field, whose remainder falls like s^2) to where Q <= (y/eta)^{nu-1/2}
-# e^{-gap s} (sqrt(z) e^z K_nu(z) falls for nu > 1/2) is below e^{-44}; the
-# scale packs nodes inside the decay length of Q, where the tails of large
-# radii live. Each level halves the step of the one before and adds the
-# nodes between; level 0 compares with its own even nodes.
+# The ray rule (_quadrature.ray_nodes) with t = exp(tau - e^{-tau}) /
+# (3 w cos phi), w = gap (or c/3 if larger). tau runs from t w cos phi ~
+# 3e-8 (1e-16 without the far field, whose remainder falls like s^2) to
+# where Q <= (y/eta)^{nu-1/2} e^{-gap s} (sqrt(z) e^z K_nu(z) falls for
+# nu > 1/2) is below e^{-44}; the scale packs nodes inside the decay length
+# of Q, where the tails of large radii live. Level 0 compares with its own
+# even nodes.
 _RAY = cmath.exp(0.25j * math.pi)
 _STEP = 1.0 / 24.0
 _LEVELS = 3
@@ -156,12 +155,10 @@ def _ray_quotient(p, levels, level):
         width = max(width, c / 3.0)
     hi = math.log(3.0 * width / levels.gap * (
         44.0 + max(nu - 0.5, 0.0) * math.log(levels.y / levels.eta))) + 0.01
-    k = np.arange(2 ** (level + 1) * math.floor(0.5 * (-2.6 if far else -3.5) / _STEP),
-                  2 ** (level + 1) * math.ceil(0.5 * hi / _STEP) + 1)
-    tau = _STEP / 2 ** level * (k[k % 2 == 1] if level else k)
-    t = np.exp(tau - np.exp(-tau)) / (3.0 * width * _RAY.real)
+    t, dt = ray_nodes(-2.6 if far else -3.5, hi, _STEP, level,
+                      3.0 * width * _RAY.real)
     s = t * _RAY
-    ds = t * (1.0 + np.exp(-tau)) * _RAY
+    ds = dt * _RAY
     m = t.size
     args = [levels.y * s, levels.eta * s] + ([c * s] if far else [])
     log_k = log_bessel_k(nu, np.concatenate(args))

@@ -1,17 +1,18 @@
 """The lobe route for the hitting density, kept as a test oracle.
 
 Bessel J_nu by its ascending series and Hankel's expansion, the McMahon
-zeros of J_nu, and the Hankel inversion of the quotient as one alternating
-lobe sum per radius between those zeros. The library inverts the quotient
-along a rotated ray instead; the tests hold the two routes against each
-other and against frozen mpmath values.
+zeros of J_nu, Gauss-Legendre lobe sums with iterated averaging, and the
+Hankel inversion of the quotient as one alternating lobe sum per radius
+between those zeros. The library inverts the quotient along a rotated ray
+instead; the tests hold the two routes against each other and against
+frozen mpmath values.
 """
 
 import math
 
 import numpy as np
 
-from gasp._quadrature import integrate_lobes_rows, lobe_edges
+from gasp._quadrature import QuadratureError, gauss_legendre
 from gasp.hitting import hitting_ft
 from gasp.special_functions import _lgamma_pos
 
@@ -106,6 +107,89 @@ def bessel_zero_gen(nu):
         yield beta - (mu - 1.0) / (8.0 * beta) \
             - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
         k += 1
+
+
+def _averaging_diagonal(partial_sums):
+    """Iterated-averaging (Euler transform) limit estimate.
+
+    Repeatedly averages adjacent partial sums; for an alternating tail the
+    final entry converges far faster than the plain sequence. Operates on
+    the last axis, so a matrix of per-row partial sums works too.
+    """
+    row = np.asarray(partial_sums)
+    while row.shape[-1] > 1:
+        row = 0.5 * (row[..., 1:] + row[..., :-1])
+    return row[..., 0]
+
+
+def lobe_edges(boundaries, feature):
+    """Lobe boundaries for integrate_lobes_rows on [0, inf).
+
+    boundaries yields the sign changes b1 < b2 < ... of the oscillatory
+    factor. When the first lobe [0, b1) is much wider than the feature
+    scale of the rest of the integrand, one Gauss panel cannot resolve its
+    peak, so that lobe is first split geometrically from 0.25 * feature.
+    """
+    boundaries = iter(boundaries)
+    first = next(boundaries)
+    yield 0.0
+    e = 0.25 * feature
+    while e < 0.75 * first:
+        yield e
+        e *= 2.0
+    yield first
+    yield from boundaries
+
+
+def integrate_lobes_rows(f, boundary_gen, rel_tol=1e-10, abs_tol=0.0,
+                         max_lobes=512, order=32, block=16):
+    """Integrate each row of f over [b0, inf), split at b0 < b1 < ...
+
+    boundary_gen yields the lobe boundaries, which should bracket sign
+    changes of the oscillatory factor (consecutive zeros); each lobe gets
+    a Gauss-Legendre rule and each row's alternating lobe series is
+    accelerated by iterated averaging. f(x) must return a matrix of shape
+    (rows, x.size), possibly complex: many integrands sharing one set of
+    lobe boundaries (e.g. an oscillatory inner integral evaluated for a
+    whole batch of outer quadrature nodes), or one row for one integrand.
+    Rows whose magnitude is far below the largest row are held to a
+    proportionally absolute tolerance, since they cannot matter
+    downstream. Returns (values, worst_error).
+    """
+    nodes, weights = gauss_legendre(order)
+    last_edge = next(boundary_gen)
+    lobes = None
+    best = None
+    err = math.inf
+    for _ in range(max(1, max_lobes // block)):
+        edges = [last_edge]
+        for _ in range(block):
+            edges.append(next(boundary_gen))
+        last_edge = edges[-1]
+        e = np.asarray(edges, dtype=float)
+        mid = 0.5 * (e[1:] + e[:-1])
+        half = 0.5 * (e[1:] - e[:-1])
+        x = mid[:, None] + half[:, None] * nodes[None, :]
+        fv = f(x.ravel())
+        fv = fv.reshape(fv.shape[0], x.shape[0], order)
+        vals = (fv @ weights) * half[None, :]
+        lobes = vals if lobes is None else np.concatenate([lobes, vals],
+                                                          axis=1)
+        partial = np.cumsum(lobes, axis=1)
+        tail = partial[:, max(0, partial.shape[1] - 24):]
+        v_full = _averaging_diagonal(tail)
+        v_drop = _averaging_diagonal(tail[:, :-1])
+        err_rows = np.abs(v_full - v_drop)
+        scale = np.max(np.abs(v_full)) if v_full.size else 0.0
+        floor = np.maximum(np.abs(v_full), 1e-6 * scale)
+        if lobes.shape[1] >= 2 * block \
+                and np.all(err_rows <= rel_tol * floor + abs_tol):
+            return v_full, float(np.max(err_rows))
+        best = v_full
+        err = float(np.max(err_rows))
+    raise QuadratureError(
+        "row lobe sums did not settle (worst err %.2e)" % err,
+        value=best, error_estimate=err)
 
 
 def lobe_density(p, levels, r, rel_tol=1e-10):

@@ -122,6 +122,22 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
     assert "zeta" in _stderr_doc(result)["message"]
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["growth", "counterexample"],
+     {"alpha": 0, "n": 1, "case": "supercritical", "k_max": 5}, "case"),
+    (["kernel", "mass"], {"alpha": 0.5, "n": 1.7, "y": 1}, "n"),
+    (["kernel", "mass"], {"alpha": 0.5, "n": 1, "format": "xml"}, "format"),
+])
+def test_config_values_go_through_the_flag_types(argv, config, key, runner, tmp_path):
+    # each value is one its flag rejects: no such case, no integer, no format
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    result = runner.invoke(main, argv + ["--config", str(cfg)])
+    assert result.exit_code == 2
+    doc = _stderr_doc(result)
+    assert doc["error"] == "validation" and key in doc["message"]
+
+
 def test_fourier_compare_three_columns_agree(runner):
     result = runner.invoke(main, ["fourier", "compare", "--alpha", "2",
                                   "--n", "1", "--y", "1", "--xi", "0.5,1,2,4"])

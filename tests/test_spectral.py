@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasp._quadrature import QuadratureError
 from gasp.kernel import ModelParams
 from gasp.spectral import (
     ft_closed_form,
@@ -152,6 +153,69 @@ def test_ft_direct_three_way_sample():
         d = ft_direct(p, y, xi)
         assert abs(i - c) <= 1e-8 * c
         assert abs(d - c) <= 1e-5 * c
+
+
+# criterion 03's grid, with xi along each axis and off them at n = 2
+_DIRECTIONS = [(1.0,), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.6, 0.8),
+               (-0.6, 0.8), (0.8, -0.6)]
+
+
+@pytest.mark.parametrize("direction", _DIRECTIONS)
+def test_ft_direct_matches_closed_form_on_criterion_grid(direction):
+    unit = np.array(direction) / np.linalg.norm(direction)
+    worst = 0.0
+    for alpha in (-0.5, 0.0, 1.0, 2.0, 3.7):
+        p = ModelParams(alpha, unit.size)
+        for y in (0.25, 1.0, 4.0):
+            for b in (0.1, 1.0, 5.0, 20.0):
+                closed = float(ft_closed_form(p, y, b / y))
+                direct = ft_direct(p, y, b / y * unit)
+                worst = max(worst, abs(direct - closed) / closed)
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ft_direct_at_large_alpha(n):
+    # the kernel is a narrow bump there; a steeper ray turns it into a chirp
+    for alpha in (30.0, 300.0):
+        p = ModelParams(alpha, n)
+        for b in (0.5, 5.0):
+            xi = [b] + [0.0] * (n - 1)
+            assert ft_direct(p, 1.0, xi) \
+                == pytest.approx(float(ft_closed_form(p, 1.0, b)), rel=1e-8)
+
+
+def test_ft_direct_calls_no_bessel_code(monkeypatch):
+    import gasp.special_functions
+    import gasp.spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ft_direct reached Bessel code")
+
+    monkeypatch.setattr(gasp.special_functions, "log_bessel_k", refuse)
+    monkeypatch.setattr(gasp.spectral, "phi_nu", refuse)
+    assert ft_direct(ModelParams(0.0, 1), 1.0, [2.0]) \
+        == pytest.approx(math.exp(-2.0), rel=1e-9)
+    assert ft_direct(ModelParams(0.0, 2), 1.0, [0.6, -0.8]) \
+        == pytest.approx(math.exp(-1.0), rel=1e-9)
+    assert ft_direct(ModelParams(1.5, 2), 1.0, [0.0, 0.0]) \
+        == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, xi", [(1, [2.0]), (2, [1.0, 1.0]), (2, [2.0, 0.0])])
+def test_ft_direct_too_coarse_rule_raises(n, xi, monkeypatch):
+    import gasp.spectral
+
+    monkeypatch.setattr(gasp.spectral, "_FT_STEP", 0.5)
+    monkeypatch.setattr(gasp.spectral, "_FT_LEVELS", 1)
+    with pytest.raises(QuadratureError):
+        ft_direct(ModelParams(0.0, n), 1.0, xi)
+
+
+def test_ft_direct_raises_below_its_rounding_floor():
+    # e^{-40} = 4e-18 lies below the rounding floor of the terms
+    with pytest.raises(QuadratureError):
+        ft_direct(ModelParams(0.0, 1), 1.0, [40.0])
 
 
 def test_ft_direct_validation():
