@@ -10,14 +10,19 @@ data grid doubles as the quadrature grid. Results degrade once the data
 spacing exceeds the kernel scale (about y/4) and that condition is flagged
 in the result notes.
 
-When the output lattice sits on the data lattice (equal origin offsets and
-an integer spacing ratio) the whole evaluation is a discrete convolution
-and runs through FFTs, each axis zero-padded to a 7-smooth length;
-otherwise each output point is summed directly, in blocks of points whose
-kernel values fit in cache. The direct path takes one height per point,
-so a scan over many heights is one call.
+A grid takes one of three paths per term. FFT: when the output lattice
+sits on the data lattice (equal origin offsets, integer spacing ratio) the
+term is a discrete convolution, each axis zero-padded to a 7-smooth
+length. Gaussian mixture, at n >= 2 on other lattices: the kernel is a sum
+of Gaussians, each a product over the axes, so the lattice sum is a few
+matrix products per Gaussian. Direct: each output point is summed over the
+data lattice in cache-sized blocks, one height per point if need be; this
+serves scattered points, n = 1, grids below _FFT_MIN_WORK kernel values,
+and the mixtures that a measured cost model finds dearer or whose clipped
+factors could cost accuracy.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from .boundary_data import (BoundaryData, Grid, WeightedTerm, grid_points,
                             radius_sq, trapezoid_weights)
-from .kernel import MultiIndex, _cone_mass, kernel_deriv_eval
+from .kernel import MultiIndex, _cone_mass, _kernel_mixture, kernel_deriv_eval
 
 __all__ = [
     "ExtensionResult",
@@ -35,13 +40,23 @@ __all__ = [
     "derivative_commutation_check",
 ]
 
-# below this many kernel evaluations the direct path beats the FFT setup;
-# with 7-smooth transform lengths the measured crossover is 0.9e4 to 1.8e4
-# at n = 1 and 1.5e4 to 2.1e4 at n = 2 (2-vCPU Xeon, NumPy 2.4)
+# below this many kernel evaluations the direct path beats the FFT set-up
+# (7-smooth lengths: measured crossover 0.9e4 to 1.8e4 at n = 1, 1.5e4 to
+# 2.1e4 at n = 2) and the mixture's (1.6e4 to 2.7e4 at n = 2), whose set-up
+# costs about as much again (2-vCPU Xeon, NumPy 2.4)
 _FFT_MIN_WORK = 1 << 14
 # kernel values per block of the direct path: 256 KiB of doubles, so the
 # squared distances, their power and the product stay in L2
 _DENSE_BLOCK = 1 << 15
+# mixture factors are clipped at exp(-_MIX_FLOOR / (n + 1)), so products
+# stay normal doubles: a subnormal makes exp ~100x and a matrix product
+# ~80x slower; chunks of nodes hold _MIX_BLOCK doubles of factors and
+# intermediates; a factor entry and a multiply-add cost these many direct
+# kernel values, which picked the faster path (or one within 7%) in 13
+# shapes from 1 x 41 lines to 101 x 101 grids over 161 x 5 to 161 x 161 nodes
+_MIX_FLOOR = 600.0
+_MIX_BLOCK = 1 << 16
+_MIX_EXP_COST, _MIX_FMA_COST = 0.4, 0.012
 _ESTIMATE_SAMPLES = 32
 
 
@@ -88,6 +103,74 @@ def _term_dense(p, components, y, points, in_axes, wf):
                                else y[s:s + step].reshape((-1,) + (1,) * n))
         out[s:s + step] = kv.reshape(block.shape[1], -1) @ wf
     return out
+
+
+def _contraction(a, b, order):
+    # multiply-adds and the largest intermediate per node, axes in ``order``
+    flops = peak = 0
+    size = math.prod(b)
+    for j, i in enumerate(order):
+        peak = max(peak, size if j else 0)
+        flops += size * a[i]
+        size = size // b[i] * a[i]
+    return flops, peak
+
+
+def _term_mixture(p, components, y, out_axes, in_axes, wf):
+    """Grid path at n >= 2 through kernel._kernel_mixture, or None.
+
+    Node m of a table term is the product over the axes of
+    d^e_i exp(-tau_m d^2) at the offsets d = x_i - eta_i, so the lattice
+    sum is one matrix product per axis and chunk of nodes: the first
+    axis for the whole chunk at once, the last summed over its nodes too.
+    None where the direct path costs less, or where the clipped factors
+    could move a value by e^-30 of the sum of its summands' magnitudes.
+    """
+    n = len(in_axes)
+    a, b = [o.size for o in out_axes], [e.size for e in in_axes]
+    d = [o[:, None] - e for o, e in zip(out_axes, in_axes)]
+    sq = [x * x for x in d]
+    s_max = y * y + sum(float(x.max()) for x in sq)
+    floor = _MIX_FLOOR / (n + 1)
+    sigma = 0.5 * (p.alpha + n + 1.0) + sum(components)
+    if not sigma * (math.log(s_max) - 2.0 * math.log(y)) <= floor - 30.0:
+        return None
+    tau, terms = _kernel_mixture(p, components, y, s_max)
+    (flops, peak), order = min((_contraction(a, b, o), o)
+                               for o in itertools.permutations(range(n)))
+    factors = sum(map(math.prod, zip(a, b)))
+    cost = tau.size * (_MIX_EXP_COST * factors + _MIX_FMA_COST * len(terms) * flops)
+    if cost + _FFT_MIN_WORK >= len(terms) * math.prod(a) * math.prod(b):
+        return None
+
+    first, *middle, last = order
+    chunk = max(1, _MIX_BLOCK // (factors + max(a) * max(b) + 2 * peak))
+    wf = np.transpose(wf, order).reshape(b[first], -1)
+    top = max(float(logw.max()) for _, _, logw in terms)
+    total = 0.0
+    for s in range(0, tau.size, chunk):
+        t = -tau[s:s + chunk]
+        m = t.size
+        # first axis (a, m, b), middle ones (m, a, b), last (m, b, a)
+        gauss = {i: t[:, None, None] * sq[i] for i in middle}
+        gauss[first] = t[:, None] * sq[first][:, None, :]
+        gauss[last] = t[:, None, None] * sq[last].T
+        for g in gauss.values():
+            np.exp(np.maximum(g, -floor, out=g), out=g)
+        for expo, sign, logw in terms:
+            f = gauss[first] * (sign * np.exp(logw[s:s + m] - top))[:, None]
+            if expo[first]:
+                f *= d[first][:, None, :] ** expo[first]
+            acc = np.matmul(f.reshape(-1, b[first]), wf).reshape(a[first], m, -1)
+            for i in middle:
+                f = gauss[i] * d[i] ** expo[i] if expo[i] else gauss[i]
+                acc = np.matmul(f, acc.reshape(acc.shape[0], m, b[i], -1))
+                acc = acc.swapaxes(1, 2).reshape(-1, m, acc.shape[-1])
+            f = gauss[last] * d[last].T ** expo[last] if expo[last] else gauss[last]
+            total = total + np.matmul(acc.reshape(acc.shape[0], -1),
+                                      f.reshape(-1, a[last]))
+    return (total * math.exp(top)).reshape([a[i] for i in order]) \
+        .transpose(np.argsort(order))
 
 
 def _lattice_match(out_grid, in_grid):
@@ -206,8 +289,9 @@ def extend_grid(data, p, y, out_grid):
 
     Uses the FFT discrete-convolution path for terms whose lattice is
     commensurate with ``out_grid`` (integer spacing ratio, aligned
-    origins) when the work is large enough to pay for it; other terms are
-    summed directly, with the fallback recorded in the result notes.
+    origins) when the work is large enough to pay for it; other terms go
+    through the Gaussian mixture or the direct sum (see the module notes),
+    and the result notes name the path each incommensurate term took.
 
     Parameters
     ----------
@@ -243,14 +327,15 @@ def extend_grid(data, p, y, out_grid):
         work = n_out * term.values.size
         coords, wf = _term_weighted(term)
         if match is not None and work >= _FFT_MIN_WORK:
-            m, q = match
-            values += _term_fft(p, term, y, out_grid, m, q, wf)
-        else:
-            if match is None and work >= _FFT_MIN_WORK:
-                notes.append("terms[%d]: output grid incommensurate with "
-                             "data grid, direct path" % i)
-            values += _term_dense(p, term.beta.components, y, out_pts,
-                                  coords, wf).reshape(out_grid.shape)
+            values += _term_fft(p, term, y, out_grid, *match, wf)
+            continue
+        mixed = _term_mixture(p, term.beta.components, y, out_grid.coords, coords,
+                              wf) if p.n > 1 and work >= _FFT_MIN_WORK else None
+        if match is None and work >= _FFT_MIN_WORK:
+            notes.append("terms[%d]: output grid incommensurate with data grid, %s "
+                         "path" % (i, "direct" if mixed is None else "Gaussian-mixture"))
+        values += mixed if mixed is not None else _term_dense(
+            p, term.beta.components, y, out_pts, coords, wf).reshape(out_grid.shape)
 
     # Richardson-style estimate against the half-resolution data lattice,
     # on a sample of output points when the grid is large

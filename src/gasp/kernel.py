@@ -13,6 +13,15 @@ exact recurrence for spatial derivatives, a one-dimensional quadrature for
 the mass (the substitution r = y tan(u) maps the radial integral onto a
 finite interval), and a finite-difference residual for plugging arbitrary
 evaluators into D_alpha.
+
+K is completely monotone in |x|^2, so it is a Gamma mixture of Gaussians:
+
+    K_{alpha,y}(x) = Int N(x; 0, (2 tau)^-1 I) Gamma(nu, rate y^2)(d tau),
+
+the law of X = y N / sqrt(2 G), G ~ Gamma(nu, 1), that hbm_sim's
+Dufresne completion samples. _kernel_mixture discretizes it, and each
+term of the derivative table with it, by the trapezoid rule in log tau;
+a Gaussian factors over the axes, which the extension's grid path uses.
 """
 
 import math
@@ -245,7 +254,10 @@ def kernel_deriv_eval(p, components, diffs, y):
     cur_pow = None
     for (expo, k), coef in sorted(table.items(), key=lambda t: t[0][1]):
         if cur_k is None:
-            cur_pow = big_s ** (-(s0 + k))
+            # a complex power with an integral exponent turns to nan where
+            # it underflows; through the log it underflows to 0
+            cur_pow = np.exp(-(s0 + k) * np.log(big_s)) \
+                if np.iscomplexobj(big_s) else big_s ** (-(s0 + k))
             cur_k = k
         while cur_k < k:
             cur_pow = cur_pow / big_s
@@ -257,6 +269,61 @@ def kernel_deriv_eval(p, components, diffs, y):
                 piece = piece * d ** e
         out = piece if out is None else out + piece
     return out
+
+
+_MIX_LOG_TOL = 37.0  # the rule's aliasing and its cut tails: e^-37 of the value
+
+
+def _bisect(f, lo, hi):
+    # the root of f, increasing from f(lo) < 0 to f(hi) > 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=None)
+def _mixture_rule(s):
+    """Step and tails of the trapezoid rule of Gamma(s) S^-s = Int exp(s v - S e^v) dv.
+
+    The integrand peaks at v = log(s/S) and falls by e^-37 at the offsets
+    where s (e^w - 1 - w) = 37. Poisson summation puts the relative error
+    at |Gamma(s + it) / Gamma(s)|, t = 2 pi/h, which the product formula
+    bounds by exp(-Int_s^inf log(1 + t^2/x^2) dx / 2), held to e^-37: h
+    shrinks like 1/sqrt(s) at large s.
+    """
+    def fall(w):
+        return s * (math.expm1(w) - w) - _MIX_LOG_TOL
+    t = _bisect(lambda t: t * math.atan(t / s) - 0.5 * s * math.log1p((t / s) ** 2)
+                - _MIX_LOG_TOL, 0.0, 100.0 + 10.0 * math.sqrt(s))
+    return (2.0 * math.pi / t, _bisect(lambda w: -fall(w), -2.0 - _MIX_LOG_TOL / s, 0.0),
+            _bisect(fall, 0.0, 10.0))
+
+
+def _kernel_mixture(p, components, y, s_max):
+    """(d/dx)^beta K_{alpha,y} as sums of Gaussians, for |x|^2 + y^2 <= s_max.
+
+    Returns ``tau`` and, per term of the derivative table, (expo, sign,
+    logw) with (d/dx)^beta K(x) = sum sign x^expo sum_m exp(logw_m - tau_m |x|^2),
+    each term to about e^-37. The nodes cover the peak for every S in
+    [y^2, s_max]; the weights are formed in logs of v = log(y^2 tau), where
+    y^(alpha+1) and y^-2s cancel exactly.
+    """
+    s0 = 0.5 * (p.alpha + p.n + 1.0)
+    table = _derivative_terms(p.n, s0, tuple(components))
+    rules = {s0 + k: _mixture_rule(s0 + k) for _, k in table}
+    lo = min(math.log(s / s_max) + 2.0 * math.log(y) + left
+             for s, (_, left, _) in rules.items())
+    hi = max(math.log(s) + right for s, (_, _, right) in rules.items())
+    m = math.ceil((hi - lo) / min(h for h, _, _ in rules.values()))
+    v = lo + (hi - lo) / m * np.arange(m + 1)
+    t = np.exp(v)
+    log_c = math.log(p.c_norm * (hi - lo) / m)
+    terms = [(expo, math.copysign(1.0, coef),
+              log_c + math.log(abs(coef)) - (p.n + 2 * k) * math.log(y)
+              - math.lgamma(s0 + k) + (s0 + k) * v - t)
+             for (expo, k), coef in table.items()]
+    return t / (y * y), terms
 
 
 def kernel_derivative(p, beta, pt):

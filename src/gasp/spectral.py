@@ -137,11 +137,7 @@ def ft_direct(p, y, xi, acc=EvalAccuracy()):
             u.append(uj.reshape(shape))
             weight.append((dt * rot[:, j:j + 1] * np.exp(-1j * sigma * xi[j] * uj))
                           .reshape(shape))
-        # a complex power with an integral exponent turns to nan where it
-        # overflows, far out where the kernel is negligible
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = kernel_deriv_eval(p, (0,) * n, u, y)
-        terms = np.where(np.isfinite(terms), terms, 0.0)
+        terms = kernel_deriv_eval(p, (0,) * n, u, y)
         for w in weight:
             terms = terms * w
         h = _FT_STEP / 2 ** level

@@ -161,6 +161,24 @@ def test_fourier_compare_alpha_zero_is_exponential(runner):
         assert abs(row["closed_form"] - math.exp(-row["xi"])) < 1e-9
 
 
+def test_fourier_compare_leaves_an_unresolved_direct_cell_empty(runner):
+    # y|xi| = 80 puts the transform below ft_direct's rounding floor: that
+    # one cell is null and named in the notes, the rest of the table stands
+    argv = ["fourier", "compare", "--alpha", "3.7", "--n", "2", "--y", "4",
+            "--format", "json", "--xi"]
+    short = runner.invoke(main, argv + ["0.1,0.5,1,2,5"])
+    full = runner.invoke(main, argv + ["0.1,0.5,1,2,5,20"])
+    assert short.exit_code == 0 == full.exit_code
+    rows = json.loads(full.output)["rows"]
+    assert json.dumps(rows[:5]) == json.dumps(json.loads(short.output)["rows"])
+    assert rows[5]["direct"] is None and rows[5]["closed_form"] > 0.0
+    notes = json.loads(full.output)["notes"]
+    assert len(notes) == 1 and "xi = 20" in notes[0] and "error estimate" in notes[0]
+    assert "notes" not in json.loads(short.output)
+    csv = runner.invoke(main, argv[:-3] + ["--xi", "0.1,0.5,1,2,5,20"])
+    assert csv.exit_code == 0 and csv.output.splitlines()[-1].endswith(",")
+
+
 def test_extend_csv_matches_extend_point(runner, tent_file):
     result = runner.invoke(main, ["extend", "--data", tent_file, "--y", "0.5",
                                   "--origin", "-2", "--spacing", "1",

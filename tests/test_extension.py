@@ -17,10 +17,12 @@ from gasp.extension import (
     extend_grid,
     extend_point,
 )
+from gasp.boundary_data import grid_points
 from gasp.kernel import (
     HalfSpacePoint,
     ModelParams,
     MultiIndex,
+    _kernel_mixture,
     dalpha_residual,
     poisson_kernel,
 )
@@ -288,12 +290,23 @@ def skewed_data(alpha, beta, origin, shape):
 @pytest.mark.parametrize("beta", [(0, 0), (1, 0), (0, 2), (1, 1)])
 def test_direct_path_matches_closed_form_sum_n2(beta):
     data, p = skewed_data(2.0, beta, (-1.0, -0.8), (41, 33))
-    # 483 points in blocks of 24: several blocks and a short last one
     out = Grid(origin=(-2.01, -1.97), spacing=0.1003, shape=(23, 21))
     res = extend_grid(data, p, 0.5, out)
-    assert any("incommensurate" in s for s in res.notes)
+    assert any("incommensurate" in s and "Gaussian-mixture path" in s
+               for s in res.notes)
     want, scale = reference_sum(data.terms[0], 2.0, 0.5, grid_rows(out))
     assert np.all(np.abs(res.values.reshape(-1) - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("beta", [(0, 0), (1, 0), (0, 2), (1, 1)])
+def test_dense_path_matches_closed_form_sum_n2(beta):
+    # the same points, scattered: 483 points in blocks of 24, several
+    # blocks and a short last one
+    data, p = skewed_data(2.0, beta, (-1.0, -0.8), (41, 33))
+    out = Grid(origin=(-2.01, -1.97), spacing=0.1003, shape=(23, 21))
+    got = extension._extend_points(data, p, grid_points(out.coords), 0.5)
+    want, scale = reference_sum(data.terms[0], 2.0, 0.5, grid_rows(out))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("beta", [(1, 0), (0, 2), (1, 1)])
@@ -317,6 +330,35 @@ def test_direct_path_matches_closed_form_sum_n3(beta):
     res = extend_grid(data, p, 0.7, out)
     want, scale = reference_sum(data.terms[0], 1.0, 0.7, grid_rows(out))
     assert np.all(np.abs(res.values.reshape(-1) - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("beta", [(0, 0, 0), (1, 0, 1)])
+def test_dense_path_matches_closed_form_sum_n3(beta):
+    data, p = skewed_data(1.0, beta, (-1.0, -0.75, -1.25), (9, 7, 11))
+    out = Grid(origin=(-1.13, -0.91, -1.07), spacing=0.37, shape=(5, 4, 3))
+    got = extension._extend_points(data, p, grid_points(out.coords), 0.7)
+    want, scale = reference_sum(data.terms[0], 1.0, 0.7, grid_rows(out))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 2.0, 50.0])
+def test_mixture_path_matches_closed_form_sum_across_the_envelope(alpha):
+    # where the clipped Gaussian factors could cost accuracy (large alpha
+    # at small y) the grid takes the direct path instead; either way the
+    # grid is within 1e-12 of the magnitudes' sum
+    paths = []
+    for y in (0.05, 0.5, 10.0):
+        for beta in ((0, 0), (1, 1), (0, 2)):
+            data, p = skewed_data(alpha, beta, (-1.0, -0.8), (41, 33))
+            out = Grid(origin=(-2.01, -1.97), spacing=0.1003, shape=(23, 21))
+            res = extend_grid(data, p, y, out)
+            paths += [s.rsplit(", ", 1)[1] for s in res.notes
+                      if "incommensurate" in s]
+            want, scale = reference_sum(data.terms[0], alpha, y, grid_rows(out))
+            assert np.all(np.abs(res.values.reshape(-1) - want) <= 1e-12 * scale), \
+                (y, beta)
+    assert len(paths) == 9
+    assert paths.count("Gaussian-mixture path") >= (6 if alpha == 50.0 else 9)
 
 
 def test_direct_path_with_a_short_last_block():
@@ -343,7 +385,8 @@ def test_direct_path_blocks_stay_cache_sized(monkeypatch):
     monkeypatch.setattr(extension, "kernel_deriv_eval", spy)
     data, p = tent_data(2.0, 2, 81)
     term = data.terms[0]
-    extend_grid(data, p, 0.5, Grid((-3.01, -3.01), 0.1003, (41, 41)))
+    scattered = np.random.default_rng(3).uniform(-3.0, 1.0, size=(2, 1681))
+    extension._extend_points(data, p, scattered, 0.5)
     extend_point(data, p, HalfSpacePoint((0.3, -0.2), 0.5))
     assert extension._DENSE_BLOCK * 8 <= 1 << 20  # a quarter of a 4 MiB L2
     assert len(calls) > 2
@@ -353,6 +396,48 @@ def test_direct_path_blocks_stay_cache_sized(monkeypatch):
         for i, shape in enumerate(shapes):
             assert shape[0] == kv_shape[0]
             assert math.prod(shape) <= kv_shape[0] * term.grid.shape[i]
+
+
+def test_mixture_path_stays_within_its_memory_block(monkeypatch):
+    # a 401 x 401 grid over 161 x 161 nodes: the Gaussian factors and the
+    # intermediates go in chunks of nodes, so no array holds all nodes'
+    # (401, 161) factors at once
+    sizes = []
+    for name in ("exp", "matmul"):
+        def spy(*args, _f=getattr(np, name), **kwargs):
+            result = _f(*args, **kwargs)
+            sizes.extend(np.size(a) for a in args + (result,))
+            return result
+        monkeypatch.setattr(np, name, spy)
+    data, p = tent_data(2.0, 2, 161)
+    out = Grid((-4.01, -4.01), 0.02003, (401, 401))
+    res = extend_grid(data, p, 0.5, out)
+    assert any("Gaussian-mixture path" in s for s in res.notes)
+    assert max(sizes) <= max(extension._MIX_BLOCK, 401 * 401)
+    nodes = _kernel_mixture(p, (0, 0), 0.5, 0.25 + 2 * (4.01 + 1.0) ** 2)[0]
+    assert nodes.size > 100 and len(sizes) > 3 * nodes.size
+
+
+def test_line_grids_take_the_cheaper_path():
+    # a row across square data: per node, factors of 1 x 81 and 41 x 81
+    # beat 41 x 6561 kernel values
+    data, p = tent_data(2.0, 2, 81)
+    out = Grid((-1.51, 0.013), 0.0497, (1, 41))
+    res = extend_grid(data, p, 0.5, out)
+    assert any("Gaussian-mixture path" in s for s in res.notes)
+    want, scale = reference_sum(data.terms[0], 2.0, 0.5, grid_rows(out))
+    assert np.all(np.abs(res.values.reshape(-1) - want) <= 1e-12 * scale)
+    # a column along a thin strip: every node would pay 101 x 301 factor
+    # entries for 903 data nodes per point, so the direct path stays
+    g = Grid((-7.5, -0.05), 0.05, (301, 3))
+    strip = BoundaryData(p, (WeightedTerm(MultiIndex((0, 0)), g,
+                                          np.ones(g.shape).reshape(-1)),))
+    out = Grid((-5.01, 0.013), 0.0997, (101, 1))
+    res = extend_grid(strip, p, 0.5, out)
+    assert any("direct path" in s for s in res.notes)
+    direct = extension._term_dense(p, (0, 0), 0.5, grid_points(out.coords),
+                                   *extension._term_weighted(strip.terms[0]))
+    assert np.array_equal(res.values.reshape(-1), direct)
 
 
 def seven_smooth(k):

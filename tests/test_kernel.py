@@ -9,7 +9,10 @@ from gasp.kernel import (
     ModelParams,
     MultiIndex,
     _cone_mass,
+    _derivative_terms,
+    _kernel_mixture,
     dalpha_residual,
+    kernel_deriv_eval,
     kernel_derivative,
     kernel_mass,
     kernel_profile,
@@ -287,6 +290,62 @@ def test_kernel_derivative_validation():
         kernel_derivative(p, MultiIndex((5, 0)), pt)
     with pytest.raises(ValueError):
         kernel_derivative(p, MultiIndex((1,)), pt)
+
+
+def test_kernel_deriv_eval_complex_offsets_underflow_to_zero():
+    # s0 = 51 is an integer, where a complex ** turns to nan once it
+    # underflows; far out on the rays the kernel is 0, near them it is the
+    # real kernel's analytic continuation
+    p = ModelParams(100.0, 1)
+    y = 0.5
+    t = np.geomspace(1e-3, 1e4, 200) * y
+    for phase in (math.pi / 8, math.pi / 4):
+        v = kernel_deriv_eval(p, (0,), (t * np.exp(1j * phase),), y)
+        assert np.all(np.isfinite(v)) and v[-1] == 0.0
+    real = kernel_deriv_eval(p, (0,), (t,), y)
+    on_axis = kernel_deriv_eval(p, (0,), (t + 0j,), y)
+    big = real > 1e-300
+    assert np.all(np.abs(on_axis[big] - real[big]) <= 1e-12 * real[big])
+
+
+# ---------------------------------------------------------------------------
+# the kernel as a mixture of Gaussians
+
+_MIX_BETAS = {2: [(0, 0), (1, 0), (0, 2), (1, 1), (3, 1), (0, 4)],
+              3: [(0, 0, 0), (0, 1, 0), (1, 0, 1), (2, 0, 1), (1, 1, 2),
+                  (0, 0, 4)]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 2.0, 50.0, 400.0])
+def test_kernel_mixture_matches_kernel_deriv_eval(alpha, n):
+    # sum sign x^e sum_m exp(logw_m - tau_m |x|^2) against the closed form,
+    # within 1e-12 of the sum of the table terms' magnitudes (a derivative
+    # cancels between them). The closed form is taken at height 1, by
+    # (d/dx)^beta K_{alpha,y}(x) = y^(-n-|beta|) (d^beta K_{alpha,1})(x/y),
+    # where its powers stay normal doubles; the points fill |x|^2 <= 30
+    # unless the kernel falls below e^-500 of its peak first
+    p = ModelParams(alpha, n)
+    s0 = 0.5 * (alpha + n + 1.0)
+    rng = np.random.default_rng(7)
+    for y in (1e-3, 0.5, 10.0):
+        s_max = y * y + 30.0
+        r2 = min(30.0, y * y * math.expm1(500.0 / (s0 + 4.0))) \
+            * np.append(rng.uniform(0.0, 1.0, 63), 1.0)
+        x = rng.normal(size=(r2.size, n))
+        x *= np.sqrt(r2 / np.sum(x * x, axis=1))[:, None]
+        for beta in _MIX_BETAS[n]:
+            tau, terms = _kernel_mixture(p, beta, y, s_max)
+            got = sum(sign * np.prod(x ** np.array(expo), axis=1)
+                      * np.exp(logw - tau * r2[:, None]).sum(axis=1)
+                      for expo, sign, logw in terms)
+            unit = y ** (-n - sum(beta))
+            want = kernel_deriv_eval(p, beta, list((x / y).T), 1.0) * unit
+            scale = sum(abs(coef) * np.prod(np.abs(x / y) ** np.array(expo), axis=1)
+                        * (1.0 + r2 / (y * y)) ** -(s0 + k)
+                        for (expo, k), coef in _derivative_terms(n, s0, beta).items())
+            scale = scale * p.c_norm * unit
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (y, beta)
 
 
 # ---------------------------------------------------------------------------
