@@ -39,9 +39,8 @@ from .growth import counterexample_track, l1_data_scan, u_tilde
 from .hbm_sim import (SimConfig, simulate_paths, validate_boundary_law,
                       validate_hitting_law)
 from .hitting import LevelPair, hitting_kernel, semigroup_check
-from .kernel import (HalfSpacePoint, ModelParams, dalpha_residual, kernel_mass,
+from .kernel import (HalfSpacePoint, ModelParams, _mass_with_error, dalpha_residual,
                      poisson_kernel)
-from .special_functions import EvalAccuracy
 from .spectral import ft_closed_form, ft_direct, ft_integral_rep
 
 
@@ -352,11 +351,8 @@ def kernel_eval(s):
 @_command("kernel mass")
 def kernel_mass_cmd(s):
     p = _params(s)
-    mass = kernel_mass(p, s["y"])
-    # sequence-difference estimate: same quadrature at a coarser tolerance,
-    # floored at roundoff for when the two levels coincide exactly
-    est = max(abs(mass - kernel_mass(p, s["y"], EvalAccuracy(rel_tol=1e-7))),
-              abs(mass) * 2.0**-52)
+    mass, err = _mass_with_error(p, s["y"])
+    est = max(err, abs(mass) * 2.0**-52)  # floored at roundoff
     return _summary(s, "%.6f ± %s" % (mass, format_float(est, 2)),
                     {"alpha": p.alpha, "n": p.n, "y": s["y"], "mass": mass,
                      "error_estimate": est}, None)

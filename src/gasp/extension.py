@@ -465,7 +465,7 @@ def boundary_convergence(data, p, y_list):
     for y in ys:
         u = extend_grid(data, p, y, eval_grid).values
         err = float(np.sum(np.abs(u - f_vals) * w_inv * trap))
-        tail = _cone_mass(p, math.atan2(margin, y), 1e-10) * w_sup * mass
+        tail = float(_cone_mass(p, math.atan2(y, margin))) * w_sup * mass
         out.append(err + tail)
     return out
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._quadrature import panel_integrate
 from .hitting import LevelPair, hitting_kernel
-from .kernel import _POLE_GAP, HalfSpacePoint, ModelParams, _pole_series
+from .kernel import HalfSpacePoint, ModelParams, _cone_mass
 from .special_functions import EvalAccuracy
 
 _MAX_CHUNK = 8192  # most steps drawn per RNG call
@@ -243,11 +243,10 @@ def boundary_kernel_cdf(p: ModelParams, y):
     """CDF evaluator for the n=1 boundary kernel at height y.
 
     In s = atan2(y, |x|), the angle from the nearer pole, the kernel's mass
-    beyond x on its own side is M(s) = c_norm Int_0^s sin(t)^alpha dt, free
-    of cancellation for every alpha > -1.  M is integrated cumulatively on
-    Gauss panels between the query angles and a base grid, geometric from
-    the series' reach to pi/2 and never coarser than pi/512, and taken from
-    the series below it.  F(x) is M(s) for x < 0 and 1 - M(s) for x >= 0.
+    beyond x on its own side is half the mass below the elevation angle s,
+    M(s) = c_norm Int_0^s sin(t)^alpha dt, which kernel._cone_mass gives
+    free of cancellation for every alpha > -1.  F(x) is M(s) for x < 0
+    and 1 - M(s) for x >= 0.
     """
     if p.n != 1:
         raise ValueError("closed cumulative form is one-dimensional")
@@ -255,19 +254,9 @@ def boundary_kernel_cdf(p: ModelParams, y):
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError(f"height must be positive and finite, got {y}")
 
-    base = np.union1d(np.geomspace(_POLE_GAP, 0.5 * math.pi, 129),
-                      np.linspace(0.0, 0.5 * math.pi, 257)[1:])
-
     def cdf(xs):
         xs = np.asarray(xs, dtype=float)
-        s = np.arctan2(y, np.abs(xs))
-        edges = np.union1d(np.maximum(s, _POLE_GAP), base)
-        pieces = panel_integrate(lambda t: np.sin(t) ** p.alpha, edges, order=8)
-        cum = _pole_series(p, _POLE_GAP) + np.concatenate([[0.0], np.cumsum(pieces)])
-        m = np.array(cum[np.searchsorted(edges, s)])  # 0-d for a scalar query
-        near = s < _POLE_GAP
-        m[near] = _pole_series(p, s[near])
-        m *= p.c_norm
+        m = 0.5 * _cone_mass(p, np.arctan2(y, np.abs(xs)))
         return np.where(xs < 0.0, m, 1.0 - m)
 
     return cdf

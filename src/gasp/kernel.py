@@ -10,9 +10,12 @@ upper half-space, where
 
 This module keeps everything pointwise-exact: closed-form evaluation, the
 exact recurrence for spatial derivatives, a one-dimensional quadrature for
-the mass (the substitution r = y tan(u) maps the radial integral onto a
-finite interval), and a finite-difference residual for plugging arbitrary
-evaluators into D_alpha.
+the mass and a finite-difference residual for plugging arbitrary
+evaluators into D_alpha. In the elevation angle s = atan2(y, |x|) the
+kernel's mass below s is omega_{n-1} c_norm Int_0^s sin^alpha cos^(n-1),
+free of y by scale invariance; _cone_mass integrates it on Gauss panels
+for the total mass, the tail bound of the boundary convergence and the
+boundary law's CDF alike.
 
 K is completely monotone in |x|^2, so it is a Gamma mixture of Gaussians:
 
@@ -30,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import tanh_sinh
+from ._quadrature import QuadratureError, panel_integrate
 from .special_functions import EvalAccuracy, _lgamma_ratio, gamma_fn
 
 __all__ = [
@@ -157,17 +160,30 @@ def poisson_kernel(p, pt):
 def kernel_mass(p, y, acc=EvalAccuracy()):
     """Quadrature of K_{alpha,y} over R^n (exactly 1 for every y).
 
-    r = y tan(u) reduces the radial integral to
-        omega_{n-1} c_norm Int_0^{pi/2} sin(u)^{n-1} cos(u)^alpha du,
-    independent of y because the kernel family is scale invariant.
+    The mass below the elevation angle pi/2, independent of y because the
+    kernel family is scale invariant. Raises QuadratureError when its error
+    estimate misses ``acc``.
     """
-    y = float(y)  # participates only through the (exact) substitution
+    return _mass_with_error(p, y, acc)[0]
+
+
+def _mass_with_error(p, y, acc=EvalAccuracy()):
+    """kernel_mass and its error estimate, the gap to order 6 on the same panels."""
+    y = float(y)  # participates only through the (exact) scale invariance
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("y must be finite and > 0, got %r" % (y,))
-    return _cone_mass(p, 0.0, 0.1 * acc.rel_tol)
+    mass = float(_cone_mass(p, 0.5 * math.pi))
+    err = abs(mass - float(_cone_mass(p, 0.5 * math.pi, order=6)))
+    if err > acc.rel_tol * mass + acc.abs_tol:
+        raise QuadratureError("kernel mass missed rel_tol=%.1e (error estimate %.2e)"
+                              % (acc.rel_tol, err), value=mass, error_estimate=err)
+    return mass, err
 
 
-_POLE_GAP = 1e-6  # below this distance to pi/2 the series is exact to rounding
+_POLE_GAP = 1e-6  # below this elevation angle the series is exact to rounding
+# _cone_mass's panels: geometric from _POLE_GAP to pi/2, never coarser than pi/512
+_ANGLES = np.union1d(np.geomspace(_POLE_GAP, 0.5 * math.pi, 129),
+                     np.linspace(0.0, 0.5 * math.pi, 257)[1:])
 
 
 def _pole_series(p, s):
@@ -181,27 +197,25 @@ def _pole_series(p, s):
             - c2 * s ** (p.alpha + 3.0) / (p.alpha + 3.0))
 
 
-def _cone_mass(p, theta, rel_tol):
-    """Kernel mass outside the cone of half-angle theta about the y axis,
-    omega_{n-1} c_norm Int_theta^{pi/2} sin(u)^{n-1} cos(u)^alpha du.
+def _cone_mass(p, s, order=8):
+    """Kernel mass below the elevation angle s = atan2(y, |x|) in [0, pi/2],
+    omega_{n-1} c_norm Int_0^s sin(t)^alpha cos(t)^(n-1) dt; vectorized in s.
 
-    For alpha in (-1, 0) cos^alpha is an integrable endpoint singularity,
-    so the last _POLE_GAP below pi/2 comes from its series, written in
-    s = pi/2 - u; tanh-sinh covers the rest.
+    Gauss panels of ``order`` between the query angles and _ANGLES are
+    summed cumulatively from _POLE_GAP, below which the series takes over.
+    Callers pass s itself, so no angle near the pole is formed by
+    cancellation.
     """
-    nm1 = p.n - 1
-    alpha = p.alpha
-    eps = _POLE_GAP
-    value = 0.0
-    if theta < 0.5 * math.pi - eps:
-        def f(u, da, db):
-            s = db + eps  # true distance to pi/2, free of cancellation
-            return np.cos(s) ** nm1 * np.sin(s) ** alpha
-
-        value, _err = tanh_sinh(f, theta, 0.5 * math.pi - eps,
-                                rel_tol=rel_tol, with_distances=True)
-    tail = _pole_series(p, min(eps, max(0.5 * math.pi - theta, 0.0)))
-    return unit_sphere_area(p.n) * p.c_norm * (value + tail)
+    s = np.asarray(s, dtype=float)
+    edges = np.union1d(np.maximum(s, _POLE_GAP), _ANGLES)
+    pieces = panel_integrate(lambda t: np.sin(t) ** p.alpha * np.cos(t) ** (p.n - 1),
+                             edges, order=order)
+    cum = _pole_series(p, _POLE_GAP) + np.concatenate([[0.0], np.cumsum(pieces)])
+    m = np.array(cum[np.searchsorted(edges, s)])  # 0-d for a scalar query
+    near = s < _POLE_GAP
+    m[near] = _pole_series(p, s[near])
+    # omega_{n-1} last: at n = 1 half the mass is c_norm m to the last bit
+    return p.c_norm * m * unit_sphere_area(p.n)
 
 
 @lru_cache(maxsize=None)
@@ -242,13 +256,20 @@ def kernel_deriv_eval(p, components, diffs, y):
     over many heights in one call. The checked entry points
     (poisson_kernel, kernel_profile, kernel_derivative) and the extension
     all evaluate the kernel here.
+
+    A term is c_norm y^(-n-2k) R^(-(s0+k)) with R = 1 + |x/y|^2, the form
+    of y^(alpha+1) S^(-(s0+k)) that cannot overflow at large alpha.
     """
     s0 = 0.5 * (p.alpha + p.n + 1.0)
     table = _derivative_terms(p.n, s0, tuple(components))
-    pref = p.c_norm * y ** (p.alpha + 1.0)
-    big_s = y * y
+    inv_y = 1.0 / y
+    big_r = None
     for d in diffs:
-        big_s = big_s + d * d
+        q = d * inv_y
+        q *= q
+        if big_r is None:  # in place: no pass or temporary beyond y^2 + |x|^2's
+            q += 1.0
+        big_r = q if big_r is None else big_r + q
     out = None
     cur_k = None
     cur_pow = None
@@ -256,11 +277,13 @@ def kernel_deriv_eval(p, components, diffs, y):
         if cur_k is None:
             # a complex power with an integral exponent turns to nan where
             # it underflows; through the log it underflows to 0
-            cur_pow = np.exp(-(s0 + k) * np.log(big_s)) \
-                if np.iscomplexobj(big_s) else big_s ** (-(s0 + k))
+            cur_pow = np.exp(-(s0 + k) * np.log(big_r)) \
+                if np.iscomplexobj(big_r) else big_r ** (-(s0 + k))
+            pref = p.c_norm * inv_y ** (p.n + 2 * k)
             cur_k = k
         while cur_k < k:
-            cur_pow = cur_pow / big_s
+            cur_pow = cur_pow / big_r
+            pref = pref * (inv_y * inv_y)
             cur_k += 1
         # the prefactor rides on the coefficient: no pass of its own
         piece = pref * coef * cur_pow

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._quadrature import QuadratureError, exp_sinh, ray_nodes
+from ._quadrature import QuadratureError, ray_nodes
 from .kernel import kernel_deriv_eval, kernel_mass
 from .special_functions import EvalAccuracy, phi_nu
 
@@ -48,28 +48,45 @@ def ft_integral_rep(p, y, xi_norm, acc=EvalAccuracy()):
     After u = y|xi|(t-1) the integral becomes
         b^{alpha/2} e^{-b} / Gamma(alpha+1) *
             Int_0^inf e^{-u} u^{alpha/2} (2 + u/b)^{alpha/2} du,  b = y|xi|,
-    whose integrand exp-sinh nodes handle uniformly in b (the u^{alpha/2}
-    endpoint is integrable for every alpha > -1). The integrand is formed
-    in logs, less its value at the peak u* (alpha > 0), and the prefactor
-    through lgamma, so neither overflows at large alpha.
+    summed by the ray rule at phase 0 (_quadrature.ray_nodes). Its double
+    exponential end sits at u ~ min(b, 1), where (2 + u/b)^{alpha/2} turns,
+    or at the foot of the peak u* (alpha > 0) of width sigma, and its top
+    at u* + 12 sigma + 60; the step resolves the peak's width sigma/u* in
+    log u. Level 0 compares with its own even nodes, each later level with
+    the one before. The integrand is formed in logs, less its value at the
+    peak, and the prefactor through lgamma, so neither overflows at large
+    alpha.
     """
     b = float(y) * float(xi_norm)
     if not (b > 0.0 and math.isfinite(b)):
         raise ValueError("need y * xi_norm > 0, got %r" % (b,))
     a2 = 0.5 * p.alpha
-    peak = 0.0
+    peak = u_star = 0.0
+    width = 1.0
     if a2 > 0.0:
         # u* solves u^2 + 2 (b - a2) u = 2 a2 b; the root without cancellation
         d = a2 - b
         root = math.hypot(d, math.sqrt(2.0 * a2 * b))
         u_star = d + root if d > 0.0 else 2.0 * a2 * b / (root - d)
         peak = a2 * (math.log(u_star) + math.log(2.0 + u_star / b)) - u_star
-
-    def f(u):
-        return np.exp(a2 * (np.log(u) + np.log(2.0 + u / b)) - u - peak)
-
-    value, _err = exp_sinh(f, a=0.0, scale=max(1.0, p.alpha),
-                           rel_tol=0.1 * min(acc.rel_tol, 1e-9))
+        width = (a2 / u_star ** 2 + a2 / (2.0 * b + u_star) ** 2) ** -0.5
+    low = max(min(b, 1.0), u_star - 12.0 * width)
+    top = math.log((u_star + 12.0 * width + 60.0) / low)
+    hi = top + math.exp(-top)  # past the root of tau - e^{-tau} = top
+    step = min(0.5, 0.5 * width / max(u_star, 1.0))
+    tol = 0.1 * min(acc.rel_tol, 1e-9)
+    total = 0.0
+    for level in range(4):  # level 2 suffices from alpha = -0.999 to 1000
+        u, du = ray_nodes(-4.5, hi, step, level, 1.0 / low)
+        terms = du * np.exp(a2 * (np.log(u) + np.log(2.0 + u / b)) - u - peak)
+        total += np.sum(terms).item()
+        old = 2.0 * step * np.sum(terms[::2]) if not level else value
+        value = step / 2 ** level * total
+        if abs(value - old) <= tol * value:
+            break
+    else:
+        raise QuadratureError("ft_integral_rep did not reach tol=%.1e" % tol,
+                              value=value, error_estimate=abs(value - old))
     return math.exp(a2 * math.log(b) - b + peak
                     - math.lgamma(p.alpha + 1.0)) * value
 

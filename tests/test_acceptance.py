@@ -35,9 +35,10 @@ from gasp import (
     validate_boundary_law,
     validate_hitting_law,
 )
-from gasp._quadrature import gauss_legendre, tanh_sinh
+from gasp._quadrature import gauss_legendre
 from gasp.extension import boundary_convergence, derivative_commutation_check
 from gasp.spectral import ft_closed_form, ft_direct, ft_integral_rep, profile_ode_residual
+from de_oracle import tanh_sinh
 
 SEED = 2026
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -63,6 +67,30 @@ def test_kernel_mass_past_gamma_overflow(runner):
     value, _, est = result.output.split()
     assert value == "1.000000"
     assert float(est) < 1e-8
+
+
+def test_kernel_eval_at_large_alpha(runner):
+    # y^(alpha+1) alone overflows here, though K = c_norm y^-2 does not
+    result = runner.invoke(main, ["kernel", "eval", "--alpha", "400", "--n", "2",
+                                  "--x", "0,0", "--y", "10"])
+    assert result.exit_code == 0, result.output
+    assert float(result.output) == pytest.approx(ModelParams(400.0, 2).c_norm / 100.0,
+                                                 rel=1e-15)
+
+
+def test_cli_import_pulls_in_no_test_dependency():
+    # NumPy and click are the only runtime dependencies; an oracle of the
+    # tests imported into the package would show up here
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    code = ("import sys, gasp.cli; "
+            "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kernel_eval_matches_library(runner):
@@ -373,9 +401,12 @@ def test_nonconvergence_exits_3(runner, monkeypatch):
     assert doc["error"] == "nonconvergence"
 
 
-def test_overflow_exits_3_with_json_error(runner):
-    # the kernel's value c_norm / 100 is fine, but y^(alpha+1) = 100^301 in
-    # its closed form overflows doubles
+def test_overflow_exits_3_with_json_error(runner, monkeypatch):
+    # the kernel itself does not overflow here, so the overflow is injected
+    def blow_up(*_a, **_k):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr("gasp.cli.poisson_kernel", blow_up)
     result = runner.invoke(main, ["kernel", "eval", "--alpha", "300", "--n",
                                   "1", "--x", "0", "--y", "100"])
     assert result.exit_code == 3

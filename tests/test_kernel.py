@@ -8,9 +8,12 @@ from gasp.kernel import (
     HalfSpacePoint,
     ModelParams,
     MultiIndex,
+    _POLE_GAP,
     _cone_mass,
     _derivative_terms,
     _kernel_mixture,
+    _mass_with_error,
+    _pole_series,
     dalpha_residual,
     kernel_deriv_eval,
     kernel_derivative,
@@ -20,6 +23,7 @@ from gasp.kernel import (
     unit_sphere_area,
 )
 from gasp.special_functions import EvalAccuracy, _lgamma_ratio, gamma_fn
+from de_oracle import tanh_sinh
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +198,64 @@ def test_kernel_mass_domain():
 def test_cone_mass_cauchy_closed_form(theta):
     # alpha = 0, n = 1: the Cauchy kernel puts 1 - 2 theta / pi beyond
     # |x| = y tan(theta); the last two angles lie inside the series' reach
-    got = _cone_mass(ModelParams(0.0, 1), theta, 1e-10)
+    got = _cone_mass(ModelParams(0.0, 1), 0.5 * math.pi - theta)
     assert got == pytest.approx(1.0 - 2.0 * theta / math.pi, rel=1e-12, abs=1e-16)
 
 
 @pytest.mark.parametrize("alpha", [-0.999, -0.99, -0.9])
 def test_cone_mass_near_alpha_minus_one(alpha):
-    # tanh-sinh alone cannot resolve cos^alpha at pi/2 here; the mass stays
-    # in (0, 1) and decreases in theta
+    # Gauss panels alone cannot resolve sin^alpha at the pole here, the
+    # series below _POLE_GAP does; the mass stays in (0, 1) and decreases
+    # in theta
     p = ModelParams(alpha, 1)
-    masses = [_cone_mass(p, t, 1e-10) for t in (0.0, 0.5, 1.0, 1.5, 1.57)]
+    masses = [_cone_mass(p, 0.5 * math.pi - t) for t in (0.0, 0.5, 1.0, 1.5, 1.57)]
     assert masses[0] == pytest.approx(1.0, abs=1e-10)
     assert all(1.0 > b > 0.0 and b < a for a, b in zip(masses, masses[1:]))
+
+
+_ANGLE_ALPHAS = [-0.999, -0.5, 0.0, 1.5, 100.0, 400.0, 1000.0]
+_ANGLE_NS = [1, 2, 3, 5, 8]
+
+
+@pytest.mark.parametrize("n", _ANGLE_NS)
+@pytest.mark.parametrize("alpha", _ANGLE_ALPHAS)
+def test_cone_mass_total_is_one(alpha, n):
+    assert abs(float(_cone_mass(ModelParams(alpha, n), 0.5 * math.pi)) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", _ANGLE_NS)
+@pytest.mark.parametrize("alpha", _ANGLE_ALPHAS)
+def test_cone_mass_interior_angles_match_tanh_sinh(alpha, n):
+    # the oracle is the double-exponential route: tanh-sinh from the
+    # series' reach up to s, plus the series below it; masses are in [0, 1],
+    # so the tolerance is absolute
+    p = ModelParams(alpha, n)
+    s = np.array([1e-7, 1e-3, 0.1, 0.7, 1.2, 1.5, 1.57])
+    got = _cone_mass(p, s)
+    for si, gi in zip(s, got):
+        tail = _pole_series(p, min(si, _POLE_GAP))
+        if si > _POLE_GAP:
+            tail += tanh_sinh(lambda t: np.sin(t) ** alpha * np.cos(t) ** (n - 1),
+                              _POLE_GAP, si, rel_tol=1e-14)[0]
+        want = unit_sphere_area(n) * p.c_norm * tail
+        assert abs(gi - want) <= 1e-12, (si, gi, want)
+
+
+@pytest.mark.parametrize("n, closed", [(1, lambda s: 2.0 * s / math.pi), (2, np.sin)])
+def test_cone_mass_alpha0_closed_forms(n, closed):
+    # alpha = 0: the Cauchy law puts 2 s / pi below the elevation s at
+    # n = 1, and the n = 2 kernel puts sin s there
+    s = np.concatenate([[0.0, 1e-9, 1e-6], np.linspace(0.01, 0.5 * math.pi, 40)])
+    got = _cone_mass(ModelParams(0.0, n), s)
+    assert np.all(np.abs(got - closed(s)) <= 1.1e-15)
+
+
+def test_kernel_mass_error_estimate_is_rounding_sized():
+    # the gap to order 6 on the same panels; order 8 is exact to rounding
+    for alpha, n in ((-0.999, 1), (1.5, 2), (1000.0, 8)):
+        p = ModelParams(alpha, n)
+        m, err = _mass_with_error(p, 1.0)
+        assert m == kernel_mass(p, 1.0) and 0.0 <= err <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +356,21 @@ def test_kernel_deriv_eval_complex_offsets_underflow_to_zero():
     on_axis = kernel_deriv_eval(p, (0,), (t + 0j,), y)
     big = real > 1e-300
     assert np.all(np.abs(on_axis[big] - real[big]) <= 1e-12 * real[big])
+
+
+@pytest.mark.parametrize("y", [1e-3, 10.0])
+def test_kernel_deriv_eval_large_alpha_is_finite_and_bitwise_scalar(y):
+    # y^(alpha+1) and S^-s over- and underflow apart at alpha = 400 (their
+    # product is 0 * inf); c_norm y^(-n-2k) R^-(s+k), R = 1 + |x/y|^2, is not
+    p = ModelParams(400.0, 2)
+    d1 = np.array([0.0, 1e-3])
+    arr = kernel_deriv_eval(p, (0, 0), (d1, np.zeros(2)), y)
+    assert np.all(np.isfinite(arr))
+    assert arr[0] == pytest.approx(p.c_norm / y ** 2, rel=1e-15)
+    for i in range(d1.size):
+        assert arr[i] == kernel_deriv_eval(p, (0, 0), (float(d1[i]), 0.0), y)
+    # the derivative terms take their powers of 1/y on the coefficient
+    assert np.all(np.isfinite(kernel_deriv_eval(p, (2, 1), (d1 + 0.3 * y, -0.1 * y), y)))
 
 
 # ---------------------------------------------------------------------------

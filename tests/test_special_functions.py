@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasp import special_functions
-from gasp._quadrature import QuadratureError, _de_params, _exp_sinh_xw
+from gasp._quadrature import QuadratureError
 from gasp.special_functions import (
     EvalAccuracy,
     gamma_fn,
     log_bessel_k,
     phi_nu,
 )
+from de_oracle import _de_params, _exp_sinh_xw
 from lobe_oracle import bessel_j
 
 

@@ -84,7 +84,8 @@ def test_ft_integral_rep_large_alpha_in_logs(alpha):
     p = ModelParams(alpha, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for y, xi in ((1.0, 0.5), (1.0, 1e-3), (2.0, 3.0), (1.0, 30.0)):
+        for y, xi in ((1.0, 0.5), (1.0, 1e-3), (2.0, 3.0), (1.0, 30.0), (1.0, 1e-6),
+                      (1.0, 100.0)):
             a = ft_integral_rep(p, y, xi)
             c = float(ft_closed_form(p, y, xi))
             assert abs(a - c) <= 1e-10 * c, (y, xi)
@@ -176,13 +177,15 @@ def test_ft_direct_matches_closed_form_on_criterion_grid(direction):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ft_direct_at_large_alpha(n):
-    # the kernel is a narrow bump there; a steeper ray turns it into a chirp
+    # the kernel is a narrow bump there; a steeper ray turns it into a chirp.
+    # At y = 1e-4, y^(alpha+1) underflows and S^-s overflows on their own
     for alpha in (30.0, 300.0):
         p = ModelParams(alpha, n)
-        for b in (0.5, 5.0):
-            xi = [b] + [0.0] * (n - 1)
-            assert ft_direct(p, 1.0, xi) \
-                == pytest.approx(float(ft_closed_form(p, 1.0, b)), rel=1e-8)
+        for y in (1.0, 1e-4):
+            for b in (0.5, 5.0):
+                xi = [b / y] + [0.0] * (n - 1)
+                assert ft_direct(p, y, xi) \
+                    == pytest.approx(float(ft_closed_form(p, y, b / y)), rel=1e-8)
 
 
 def test_ft_direct_calls_no_bessel_code(monkeypatch):
