@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import HalfSpacePoint, ModelParams, MultiIndex
+from .kernel import (HalfSpacePoint, ModelParams, MultiIndex, _each, _height, _integer,
+                     _real)
 
 
 class SchemaError(ValueError):
@@ -42,19 +43,12 @@ class Grid:
     shape: tuple
 
     def __post_init__(self):
-        origin = tuple(float(v) for v in self.origin)
-        shape = tuple(int(m) for m in self.shape)
-        spacing = float(self.spacing)
+        origin = _each(self.origin, _real, "origin")
+        shape = _each(self.shape, _integer, "shape", 1)
         if len(origin) != len(shape) or not origin:
             raise ValueError("origin and shape must have equal, nonzero length")
-        if not all(math.isfinite(v) for v in origin):
-            raise ValueError("grid origin must be finite")
-        if not (math.isfinite(spacing) and spacing > 0.0):
-            raise ValueError("grid spacing must be positive and finite")
-        if any(m < 1 for m in shape):
-            raise ValueError("grid shape entries must be >= 1")
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "spacing", _height(self.spacing, "spacing"))
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -119,13 +113,17 @@ class WeightedTerm:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float).reshape(-1)
+        vals = np.array(self.values)
+        if vals.dtype.kind not in "iuf":
+            raise ValueError("values must be real numbers, got %s entries" % vals.dtype)
+        vals = vals.astype(float, copy=False).reshape(-1)
         if len(self.beta.components) != self.grid.n:
             raise ValueError("beta has %d components but the grid is %d-dimensional"
                              % (len(self.beta.components), self.grid.n))
         if any(m < 2 for m in self.grid.shape):
             # trapezoidal quadrature over the support needs a real extent
-            raise ValueError("term grids need at least 2 samples per axis")
+            raise ValueError("shape must be >= 2 on every axis of a term, got %s"
+                             % (self.grid.shape,))
         expected = int(np.prod(self.grid.shape))
         if vals.size != expected:
             raise ValueError("values has %d entries, grid shape needs %d"
@@ -159,7 +157,7 @@ class BoundaryData:
         terms = tuple(self.terms)
         for i, term in enumerate(terms):
             if term.n != self.params_hint.n:
-                raise ValueError("terms[%d] is %d-dimensional, expected n=%d"
+                raise ValueError("terms[%d] is %d-dimensional and does not match n=%d"
                                  % (i, term.n, self.params_hint.n))
         object.__setattr__(self, "terms", terms)
 
@@ -221,6 +219,10 @@ class SubcriticalCase:
     beta: float
     gamma: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "beta", _real(self.beta, "beta"))
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
+
 
 @dataclass(frozen=True)
 class CriticalCase:
@@ -230,6 +232,9 @@ class CriticalCase:
     """
 
     gamma: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
 
 
 _TENT_POINTS = 65  # per axis: spacing rho/32 over the diameter 2*rho
@@ -282,13 +287,13 @@ def sharpness_data(p, case, k_max):
         The bumps plus the evaluation points (a_k e1, rho_k) along which
         the scaled growth quantity stays bounded away from zero.
     """
-    if not (1 <= int(k_max) <= 12):
+    if _integer(k_max, "k_max", 1) > 12:
         raise ValueError("k_max must be between 1 and 12")
     _, _, rho_exp, height_extra = case_exponents(p, case)
 
     terms = []
     points = []
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         log_height = k * p.mu + height_extra * math.log(k)
         if log_height > 700.0:
             raise ValueError("bump %d height exp(%.1f) overflows doubles; "
@@ -317,24 +322,39 @@ def sharpness_data(p, case, k_max):
 
 _TOP_FIELDS = ("alpha", "n", "terms")
 _TERM_FIELDS = ("beta", "origin", "spacing", "shape", "values")
+_LIST_FIELDS = ("beta", "origin", "shape", "values")
 
 
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _fields(obj, names, path):
+    """The values of the JSON object ``obj``, whose keys must be ``names``.
+
+    Fields of _LIST_FIELDS must hold flat lists of number tokens.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("%s: expected an object" % path)
+    odd = [k for k in obj if k not in names] + [k for k in names if k not in obj]
+    if odd:
+        raise SchemaError("%s: %s field %r"
+                          % (path, "unknown" if odd[0] in obj else "missing", odd[0]))
+    for key in names:
+        # json gives bool for true/false, str, None for null, list if nested
+        if key in _LIST_FIELDS and not (isinstance(obj[key], list)
+                                        and set(map(type, obj[key])) <= {int, float}):
+            raise SchemaError("%s.%s: expected a flat list of numbers" % (path, key))
+    return [obj[key] for key in names]
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+def _build(path, make, *args):
+    # make(*args), its ValueError a SchemaError that leads with the field path
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(path + str(exc)) from exc
 
 
-def _check_number_list(seq, path, want_int=False):
-    if not isinstance(seq, list):
-        raise SchemaError("%s: expected a list" % path)
-    for j, v in enumerate(seq):
-        if want_int and not _is_int(v):
-            raise SchemaError("%s[%d]: expected an integer" % (path, j))
-        if not want_int and not _is_real(v):
-            raise SchemaError("%s[%d]: expected a number" % (path, j))
+def _term(beta, origin, spacing, shape, values):
+    return WeightedTerm(MultiIndex(beta), Grid(origin, spacing, shape),
+                        np.asarray(values, dtype=float))
 
 
 def save_data(data, path):
@@ -361,11 +381,17 @@ def save_data(data, path):
 def load_data(path):
     """Read BoundaryData from a JSON file.
 
-    The document must be an object with exactly the fields ``alpha``
-    (real), ``n`` (int) and ``terms`` (list); each term an object with
-    exactly ``beta``, ``origin``, ``spacing``, ``shape`` and ``values``,
-    with ``values`` holding product(shape) row-major samples. Unknown
-    fields are rejected. Floats survive the round trip bit-exactly.
+    The document must be an object with exactly the fields ``alpha``,
+    ``n`` and ``terms`` (a list); each term an object with exactly
+    ``beta``, ``origin``, ``spacing``, ``shape`` and ``values``, with
+    ``values`` holding product(shape) row-major samples. Unknown fields
+    are rejected. ``beta``, ``origin``, ``shape`` and ``values`` are flat
+    lists of number tokens: never true, false, a string, null or a nested
+    list. Every other rule is the value types' own, with their messages
+    after the field path: alpha a finite real > -1; n, beta and shape
+    integers (2.0 is not one) with n >= 1, beta >= 0 of order <= 4 and
+    shape >= 2; lengths n; spacing a finite real > 0; finite values.
+    Floats survive the round trip bit-exactly.
 
     Raises
     ------
@@ -377,61 +403,11 @@ def load_data(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("not valid JSON: %s" % exc) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level: expected an object")
-    for key in doc:
-        if key not in _TOP_FIELDS:
-            raise SchemaError("top level: unknown field %r" % key)
-    for key in _TOP_FIELDS:
-        if key not in doc:
-            raise SchemaError("top level: missing field %r" % key)
-    if not _is_real(doc["alpha"]):
-        raise SchemaError("alpha: expected a number")
-    if not _is_int(doc["n"]):
-        raise SchemaError("n: expected an integer")
-    try:
-        params = ModelParams(float(doc["alpha"]), doc["n"])
-    except ValueError as exc:
-        raise SchemaError("alpha/n: %s" % exc) from exc
-    if not isinstance(doc["terms"], list):
+    alpha, n, entries = _fields(doc, _TOP_FIELDS, "top level")
+    params = _build("", ModelParams, alpha, n)
+    if not isinstance(entries, list):
         raise SchemaError("terms: expected a list")
-
-    terms = []
-    for i, entry in enumerate(doc["terms"]):
-        path_i = "terms[%d]" % i
-        if not isinstance(entry, dict):
-            raise SchemaError("%s: expected an object" % path_i)
-        for key in entry:
-            if key not in _TERM_FIELDS:
-                raise SchemaError("%s: unknown field %r" % (path_i, key))
-        for key in _TERM_FIELDS:
-            if key not in entry:
-                raise SchemaError("%s: missing field %r" % (path_i, key))
-        _check_number_list(entry["beta"], path_i + ".beta", want_int=True)
-        _check_number_list(entry["origin"], path_i + ".origin")
-        _check_number_list(entry["shape"], path_i + ".shape", want_int=True)
-        _check_number_list(entry["values"], path_i + ".values")
-        if not _is_real(entry["spacing"]):
-            raise SchemaError("%s.spacing: expected a number" % path_i)
-        for field in ("beta", "origin", "shape"):
-            if len(entry[field]) != params.n:
-                raise SchemaError("%s.%s: length %d does not match n=%d"
-                                  % (path_i, field, len(entry[field]), params.n))
-        want = 1
-        for m in entry["shape"]:
-            want *= max(m, 0)
-        if len(entry["values"]) != want:
-            raise SchemaError("%s.values: length %d, shape needs %d"
-                              % (path_i, len(entry["values"]), want))
-        try:
-            term = WeightedTerm(
-                beta=MultiIndex(tuple(entry["beta"])),
-                grid=Grid(origin=tuple(entry["origin"]),
-                          spacing=entry["spacing"],
-                          shape=tuple(entry["shape"])),
-                values=np.asarray(entry["values"], dtype=float),
-            )
-        except ValueError as exc:
-            raise SchemaError("%s: %s" % (path_i, exc)) from exc
-        terms.append(term)
-    return BoundaryData(params_hint=params, terms=tuple(terms))
+    terms = tuple(_build("terms[%d]." % i, _term,
+                         *_fields(entry, _TERM_FIELDS, "terms[%d]" % i))
+                  for i, entry in enumerate(entries))
+    return _build("", BoundaryData, params, terms)

@@ -86,15 +86,14 @@ _DEFAULTS = {
     "fourier compare": {"alpha": _ALPHA, "n": _N, "y": _Y, "xi": _Param(
         _REQ, None, "Frequency magnitudes |xi| > 0, comma-separated.")},
     "extend": {
-        "data": _Param(_REQ, None,
-                       "Boundary-data JSON file (see the data-file schema)."),
+        "data": _Param(_REQ, str, "Boundary-data JSON file (see the data-file schema)."),
         "alpha": _DATA_ALPHA, "n": _DATA_N,
         "y": _Param(_REQ, float, "Evaluation height, > 0."),
         "origin": _Param(_REQ, None, "Output grid origin, n values."),
         "spacing": _Param(_REQ, float, "Output grid spacing."),
         "shape": _Param(_REQ, None, "Output grid shape, n integers.")},
     "converge": {
-        "data": _Param(_REQ, None, "Boundary-data JSON file."),
+        "data": _Param(_REQ, str, "Boundary-data JSON file."),
         "alpha": _DATA_ALPHA, "n": _DATA_N,
         "y_list": _Param("1,0.25,0.0625,0.015625", None,
                          "Strictly decreasing heights, comma-separated.")},
@@ -121,7 +120,7 @@ _DEFAULTS = {
         "eta": _Param(1.0, float, _ETA_HELP), "paths": _PATHS, "dt": _DT,
         "seed": _SEED, "samples": _SAMPLES, "workers": _WORKERS},
     "growth scan": {
-        "data": _Param(_REQ, None, "Boundary-data JSON file (beta = 0 terms)."),
+        "data": _Param(_REQ, str, "Boundary-data JSON file (beta = 0 terms)."),
         "alpha": _DATA_ALPHA, "n": _DATA_N,
         "r": _Param(_REQ, None, "Radii, comma-separated, increasing."),
         "theta_count": _Param(64, int, "Angular resolution of the scan.")},
@@ -154,7 +153,8 @@ def _settings(command, config_path, flags):
 
     A config value passes through its flag's click type in its text form,
     so it reaches the handler as the flag would: 1.7 is no integer and
-    "xml" no format. Text parameters keep lists as they are.
+    "xml" no format. Text parameters keep lists as they are. null stands
+    only where the default is None, the parameter's unset state.
     """
     specs = dict(_DEFAULTS[command], **_COMMON)
     merged = {key: spec.default for key, spec in specs.items()}
@@ -171,6 +171,9 @@ def _settings(command, config_path, flags):
             if key not in merged:
                 raise ValueError("config file %s: unknown parameter %r for %r"
                                  % (config_path, key, command))
+            if value is None and specs[key].default is not None:
+                raise ValueError("config file %s: %s: null is no value"
+                                 % (config_path, key))
             if specs[key].type is not None and value is not None:
                 try:
                     value = click.types.convert_type(specs[key].type).convert(
@@ -201,21 +204,17 @@ def _seed(settings):
             value = int(env)
         except ValueError:
             raise ValueError("GASP_SEED must be an integer, got %r" % env)
-    if not (0 <= value < 2**64):
-        raise ValueError("seed must be a 64-bit unsigned integer, got %d" % value)
     return value
 
 
 def _floats(value, name):
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
+    """Comma-separated numbers, or a config list of them in their text form."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, list):
         raise ValueError("%s: expected a comma-separated list of numbers" % name)
     try:
-        out = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
+        out = tuple(float(str(p)) for p in parts if str(p).strip())
+    except ValueError:
         raise ValueError("%s: expected numbers, got %r" % (name, value))
     if not out:
         raise ValueError("%s: empty list" % name)
@@ -223,12 +222,10 @@ def _floats(value, name):
 
 
 def _grid(s):
-    """The grid given by ``--origin``, ``--spacing`` and ``--shape``."""
-    origin, spacing = _floats(s["origin"], "origin"), s["spacing"]
-    shape = _floats(s["shape"], "shape")
-    if any(int(v) != v for v in shape):
-        raise ValueError("shape: expected integers, got %r" % (s["shape"],))
-    return Grid(origin=origin, spacing=spacing, shape=tuple(int(v) for v in shape))
+    """The grid given by ``--origin``, ``--spacing`` and ``--shape``; a
+    whole number such as 41.0 in the shape stands for the integer."""
+    shape = tuple(int(v) if v.is_integer() else v for v in _floats(s["shape"], "shape"))
+    return Grid(origin=_floats(s["origin"], "origin"), spacing=s["spacing"], shape=shape)
 
 
 def _load_data(settings):
@@ -376,8 +373,6 @@ def fourier_compare(s):
     rows = []
     notes = []
     for t in _floats(s["xi"], "xi"):
-        if not t > 0.0:
-            raise ValueError("xi values must be > 0, got %g" % t)
         closed = float(ft_closed_form(p, height, t))
         integral = ft_integral_rep(p, height, t)
         direct = None  # brute-force oracle is n <= 2 only

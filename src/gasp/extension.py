@@ -30,7 +30,8 @@ import numpy as np
 
 from .boundary_data import (BoundaryData, Grid, WeightedTerm, grid_points,
                             radius_sq, trapezoid_weights)
-from .kernel import MultiIndex, _cone_mass, _kernel_mixture, kernel_deriv_eval
+from .kernel import (MultiIndex, _check_point, _cone_mass, _height, _kernel_mixture,
+                     kernel_deriv_eval)
 
 __all__ = [
     "ExtensionResult",
@@ -201,14 +202,24 @@ def _smooth_len(size):
         size += 1
 
 
-def _term_fft(p, term, y, out_grid, m, q, wf_grid):
-    """Fast path: discrete convolution on the shared lattice.
+def _lattice_convolution(a, b, m, out_shape):
+    """The linear convolution of the arrays a and b at every m-th entry
+    from a.shape - 1 on, out_shape entries per axis.
 
-    The kernel table covers every offset between a data node and an
-    output point; each axis is transformed at the 7-smooth length next
-    above the linear convolution's, and the zero padding leaves the
-    entries read back unchanged.
+    Each axis is transformed at the 7-smooth length next above the linear
+    convolution's; the zero padding leaves the entries read back unchanged.
     """
+    axes = tuple(range(a.ndim))
+    shape = tuple(_smooth_len(i + j - 1) for i, j in zip(a.shape, b.shape))
+    spec = np.fft.rfftn(a, shape, axes)
+    spec *= np.fft.rfftn(b, shape, axes)
+    conv = np.fft.irfftn(spec, shape, axes)
+    return conv[tuple(slice(i - 1, i - 1 + m * k, m) for i, k in zip(a.shape, out_shape))]
+
+
+def _term_fft(p, term, y, out_grid, m, q, wf_grid):
+    """Fast path: discrete convolution on the shared lattice, whose kernel
+    table covers every offset between a data node and an output point."""
     n = term.n
     si = term.grid.spacing
     offs = []
@@ -219,17 +230,7 @@ def _term_fft(p, term, y, out_grid, m, q, wf_grid):
         length = (b_i - 1) + m * (a_i - 1) + 1
         offs.append(si * np.arange(t_min, t_min + length))
     table = kernel_deriv_eval(p, term.beta.components, np.ix_(*offs), y)
-    fft_shape = tuple(_smooth_len(wf_grid.shape[i] + offs[i].size - 1)
-                      for i in range(n))
-    axes = tuple(range(n))
-    spec = np.fft.rfftn(wf_grid, fft_shape, axes)
-    spec *= np.fft.rfftn(table, fft_shape, axes)
-    conv = np.fft.irfftn(spec, fft_shape, axes)
-    sl = tuple(
-        slice(term.grid.shape[i] - 1,
-              term.grid.shape[i] - 1 + m * out_grid.shape[i], m)
-        for i in range(n))
-    return conv[sl]
+    return _lattice_convolution(wf_grid, table, m, out_grid.shape)
 
 
 def _term_weighted(term):
@@ -269,9 +270,7 @@ def extend_point(data, p, pt):
     float
     """
     _check_dims(data, p)
-    if pt.n != p.n:
-        raise ValueError("point has dimension %d, params say n=%d"
-                         % (pt.n, p.n))
+    _check_point(p, pt)
     return float(_extend_points(data, p, np.array(pt.x)[:, None], pt.y)[0])
 
 
@@ -310,9 +309,7 @@ def extend_grid(data, p, y, out_grid):
     if out_grid.n != p.n:
         raise ValueError("output grid is %d-dimensional, params say n=%d"
                          % (out_grid.n, p.n))
-    y = float(y)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("y must be finite and > 0, got %r" % (y,))
+    y = _height(y)
 
     out_pts = grid_points(out_grid.coords)
     n_out = out_pts.shape[1]
@@ -416,11 +413,9 @@ def boundary_convergence(data, p, y_list):
             raise ValueError("terms[%d] carries derivative order %d; "
                              "boundary convergence needs beta = 0"
                              % (i, term.beta.order))
-    ys = [float(v) for v in y_list]
+    ys = [_height(v, "y_list entry") for v in y_list]
     if not ys:
         return []
-    if any(not (v > 0.0 and math.isfinite(v)) for v in ys):
-        raise ValueError("heights must be positive and finite")
     if any(b >= a for a, b in zip(ys, ys[1:])):
         raise ValueError("heights must be strictly decreasing")
     if not data.terms:
@@ -511,9 +506,7 @@ def derivative_commutation_check(data, p, beta, pt, h):
     for i, term in enumerate(data.terms):
         if term.beta.order != 0:
             raise ValueError("terms[%d] already carries derivatives" % i)
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError("h must be finite and > 0, got %r" % (h,))
+    h = _height(h, "h")
 
     # tensor product of per-axis central stencils
     combos = [((), 1.0)]

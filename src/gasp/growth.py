@@ -25,7 +25,7 @@ from ._quadrature import panel_integrate
 from .boundary_data import (BoundaryData, case_exponents, radius_sq,
                             trapezoid_weights)
 from .extension import _check_dims, _extend_points
-from .kernel import ModelParams, unit_sphere_area
+from .kernel import ModelParams, _height, _integer, unit_sphere_area
 
 _MAX_TRACK = 64  # log-space track: no materialized heights, so well past 12
 
@@ -59,10 +59,7 @@ def _scan(p, m, r_values, theta_count, evaluate) -> GrowthScan:
     ``evaluate(x0, y)`` takes (radii, thetas) arrays of first coordinates
     and heights (the other coordinates are 0) and returns u there.
     """
-    if not (isinstance(m, int) and m >= 0):
-        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    if not (isinstance(theta_count, int) and theta_count >= 16):
-        raise ValueError(f"theta_count must be an integer >= 16, got {theta_count!r}")
+    m, theta_count = _integer(m, "m", 0), _integer(theta_count, "theta_count", 16)
     rs = np.asarray(r_values, dtype=float)
     if rs.ndim != 1 or rs.size == 0 or not np.all(np.isfinite(rs)):
         raise ValueError("r_values must be a nonempty finite 1-D sequence")
@@ -139,9 +136,7 @@ def far_field_integral(p: ModelParams, data: BoundaryData, r):
     the data support, M(r) <= c_norm * 8^{mu/2} * I(r), and I(r) -> 0.
     Trapezoid over each term grid, like the weighted norms.
     """
-    r = float(r)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"r must be positive and finite, got {r}")
+    r = _height(r, "r")
     if any(term.beta.order > 0 for term in data.terms):
         raise ValueError("far-field integral applies to function-type data")
     total = 0.0
@@ -186,12 +181,12 @@ def counterexample_track(p: ModelParams, case, k_max):
     list of (k, ratio) pairs, k = 1..k_max.  A ratio past the double range
     comes back as math.inf.
     """
-    if not (1 <= int(k_max) <= _MAX_TRACK):
+    if _integer(k_max, "k_max", 1) > _MAX_TRACK:
         raise ValueError(f"k_max must be between 1 and {_MAX_TRACK}")
     beta, gamma, rho_exp, height_extra = case_exponents(p, case)
     log_ut = math.log(u_tilde(p))
     out = []
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         log_rho = -rho_exp * math.log(k)
         log_height = k * p.mu + height_extra * math.log(k)
         log_r_sq = 2.0 * k + math.log1p(math.exp(2.0 * (log_rho - k)))

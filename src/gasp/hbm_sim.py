@@ -34,7 +34,7 @@ import numpy as np
 
 from ._quadrature import panel_integrate
 from .hitting import LevelPair, hitting_kernel
-from .kernel import HalfSpacePoint, ModelParams, _cone_mass
+from .kernel import HalfSpacePoint, ModelParams, _cone_mass, _height, _integer, _real
 from .special_functions import EvalAccuracy
 
 _MAX_CHUNK = 8192  # most steps drawn per RNG call
@@ -63,21 +63,22 @@ class SimConfig:
             raise ValueError(
                 f"start point is {self.start.n}-dimensional, expected n={self.p.n}"
             )
-        if not (0.0 < self.dt <= 1e-2):
+        if not 0.0 < _real(self.dt, "dt") <= 1e-2:
             raise ValueError(f"dt must be in (0, 1e-2], got {self.dt}")
-        if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
-            raise ValueError(f"n_paths must be a positive integer, got {self.n_paths}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
+        object.__setattr__(self, "n_paths", _integer(self.n_paths, "n_paths", 1))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0))
+        if self.master_seed >= 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if not (math.isfinite(self.y_stop) and self.y_stop >= 0.0):
-            raise ValueError(f"y_stop must be finite and >= 0, got {self.y_stop}")
+        if _real(self.y_stop, "y_stop") < 0.0:
+            raise ValueError(f"y_stop must be >= 0, got {self.y_stop}")
         if self.y_stop > 0.0:
             if self.y_floor is not None:
                 raise ValueError("y_floor applies to boundary mode only (y_stop = 0)")
             if self.y_stop >= self.start.y:
                 raise ValueError("level mode needs y_stop < start.y")
         else:
-            floor = 1e-4 * self.start.y if self.y_floor is None else float(self.y_floor)
+            floor = (1e-4 * self.start.y if self.y_floor is None
+                     else _height(self.y_floor, "y_floor"))
             if not (0.0 < floor <= self.start.y / 100.0):
                 raise ValueError(
                     f"y_floor must lie in (0, start.y/100], got {floor}"
@@ -250,9 +251,7 @@ def boundary_kernel_cdf(p: ModelParams, y):
     """
     if p.n != 1:
         raise ValueError("closed cumulative form is one-dimensional")
-    y = float(y)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError(f"height must be positive and finite, got {y}")
+    y = _height(y)
 
     def cdf(xs):
         xs = np.asarray(xs, dtype=float)
@@ -310,74 +309,52 @@ def hitting_cdf(p: ModelParams, lv: LevelPair, acc=EvalAccuracy(rel_tol=1e-8)):
 # ------------------------------------------------------------- validation
 
 
-def _ks_threshold(n_paths):
-    return 1.95 / math.sqrt(n_paths) + 5e-3
+def _ks_report(cfg, lv, cdf, workers, samples):
+    """KS test of the stopped X (n = 1) against ``cdf()``: the report of
+    the hitting law between the levels ``lv``, else of the boundary law.
+
+    The verdict is one KS test at the level 1.95/sqrt(N) + 5e-3, which a
+    correct sampler fails now and then by chance.  ``samples``, when given,
+    must be ``simulate_paths(cfg)`` and spares a duplicate run (streams are
+    deterministic, so reuse is exact).
+    """
+    law = "boundary" if lv is None else "hitting"
+    if cfg.p.n != 1:
+        raise ValueError(f"{law}-law validation is one-dimensional")
+    if cfg.boundary_mode != (lv is None):
+        raise ValueError(f"{law}-law validation needs "
+                         + ("y_stop = 0" if lv is None else "level mode (y_stop > 0)"))
+    if lv is not None and not (lv.y == cfg.start.y and lv.eta == cfg.y_stop):
+        raise ValueError(
+            f"level pair {(lv.y, lv.eta)} disagrees with config "
+            f"{(cfg.start.y, cfg.y_stop)}"
+        )
+    result = simulate_paths(cfg, workers=workers) if samples is None else samples
+    ks = ks_statistic(np.sort(result.samples[:, 0]), cdf())
+    threshold = 1.95 / math.sqrt(cfg.n_paths) + 5e-3
+    report = {"law": law, "alpha": cfg.p.alpha, "n": cfg.p.n, "y_start": cfg.start.y,
+              "y_stop": cfg.y_stop, "dt": cfg.dt, "y_floor": cfg.y_floor,
+              "n_paths": cfg.n_paths, "master_seed": cfg.master_seed, "ks": ks,
+              "floor_allowance": 0.0, "threshold": threshold,
+              "passed": bool(ks <= threshold)}
+    for key in ("y_stop",) if lv is None else ("y_floor", "floor_allowance"):
+        del report[key]
+    return report
 
 
 def validate_boundary_law(cfg: SimConfig, workers=1, samples=None):
     """KS test of the stopped X law against the boundary kernel (n = 1).
 
     Boundary mode only; the completion leaves no floor bias, so
-    ``floor_allowance`` is 0.0.  The verdict is one KS test at the level
-    1.95/sqrt(N) + 5e-3, which a correct sampler fails now and then by
-    chance.  ``samples``, when given, must be ``simulate_paths(cfg)`` and
-    spares a duplicate run (streams are deterministic, so reuse is exact).
+    ``floor_allowance`` is 0.0.  See _ks_report for the verdict and
+    ``samples``.
     """
-    if cfg.p.n != 1:
-        raise ValueError("boundary-law validation is one-dimensional")
-    if not cfg.boundary_mode:
-        raise ValueError("boundary-law validation needs y_stop = 0")
-    result = simulate_paths(cfg, workers=workers) if samples is None else samples
-    xs = np.sort(result.samples[:, 0])
-    ks = ks_statistic(xs, boundary_kernel_cdf(cfg.p, cfg.start.y))
-    threshold = _ks_threshold(cfg.n_paths)
-    return {
-        "law": "boundary",
-        "alpha": cfg.p.alpha,
-        "n": cfg.p.n,
-        "y_start": cfg.start.y,
-        "dt": cfg.dt,
-        "y_floor": cfg.y_floor,
-        "n_paths": cfg.n_paths,
-        "master_seed": cfg.master_seed,
-        "ks": ks,
-        "floor_allowance": 0.0,
-        "threshold": threshold,
-        "passed": bool(ks <= threshold),
-    }
+    return _ks_report(cfg, None, lambda: boundary_kernel_cdf(cfg.p, cfg.start.y),
+                      workers, samples)
 
 
 def validate_hitting_law(cfg: SimConfig, lv: LevelPair, acc=EvalAccuracy(rel_tol=1e-8),
                          workers=1, samples=None):
-    """KS test of the stopped X law against the hitting density (n = 1).
-
-    The verdict is one KS test at the level 1.95/sqrt(N) + 5e-3, which a
-    correct sampler fails now and then by chance.  ``samples`` reuses a
-    precomputed ``simulate_paths(cfg)`` result.
-    """
-    if cfg.p.n != 1:
-        raise ValueError("hitting-law validation is one-dimensional")
-    if cfg.boundary_mode:
-        raise ValueError("hitting-law validation needs level mode (y_stop > 0)")
-    if not (lv.y == cfg.start.y and lv.eta == cfg.y_stop):
-        raise ValueError(
-            f"level pair {(lv.y, lv.eta)} disagrees with config "
-            f"{(cfg.start.y, cfg.y_stop)}"
-        )
-    result = simulate_paths(cfg, workers=workers) if samples is None else samples
-    xs = np.sort(result.samples[:, 0])
-    ks = ks_statistic(xs, hitting_cdf(cfg.p, lv, acc))
-    threshold = _ks_threshold(cfg.n_paths)
-    return {
-        "law": "hitting",
-        "alpha": cfg.p.alpha,
-        "n": cfg.p.n,
-        "y_start": lv.y,
-        "y_stop": lv.eta,
-        "dt": cfg.dt,
-        "n_paths": cfg.n_paths,
-        "master_seed": cfg.master_seed,
-        "ks": ks,
-        "threshold": threshold,
-        "passed": bool(ks <= threshold),
-    }
+    """KS test of the stopped X law against the hitting density (n = 1),
+    level mode only; see _ks_report for the verdict and ``samples``."""
+    return _ks_report(cfg, lv, lambda: hitting_cdf(cfg.p, lv, acc), workers, samples)

@@ -34,7 +34,8 @@ import numpy as np
 
 from ._quadrature import QuadratureError, ray_nodes
 from .boundary_data import Grid, radius_sq
-from .kernel import ModelParams, kernel_profile, unit_sphere_area
+from .extension import _lattice_convolution
+from .kernel import ModelParams, _real, kernel_profile, unit_sphere_area
 from .special_functions import EvalAccuracy, _lgamma_pos, log_bessel_k
 
 
@@ -46,11 +47,8 @@ class LevelPair:
     eta: float
 
     def __post_init__(self):
-        for name in ("y", "eta"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        object.__setattr__(self, "y", _real(self.y, "y"))
+        object.__setattr__(self, "eta", _real(self.eta, "eta"))
         if not 0.0 < self.eta < self.y:
             raise ValueError(
                 f"levels must satisfy y > eta > 0, got y={self.y}, eta={self.eta}"
@@ -350,7 +348,7 @@ def semigroup_check(
     """
     if grid.n != p.n:
         raise ValueError(f"grid is {grid.n}-dimensional, expected n={p.n}")
-    if not (y > eta2 > eta1 > 0.0):
+    if not (_real(y, "y") > _real(eta2, "eta2") > _real(eta1, "eta1") > 0.0):
         raise ValueError(
             f"levels must satisfy y > eta2 > eta1 > 0, got {(y, eta2, eta1)}"
         )
@@ -368,16 +366,8 @@ def semigroup_check(
     ]
     upper_vals = _radial_table(p, upper, np.sqrt(radius_sq(diff_axes)), acc)
 
-    n = grid.n
-    conv_shape = tuple(g + d - 1 for g, d in zip(grid.shape, upper_vals.shape))
-    axes = tuple(range(n))
-    spec = np.fft.rfftn(lower_vals, conv_shape, axes=axes) * np.fft.rfftn(
-        upper_vals, conv_shape, axes=axes
-    )
-    conv = np.fft.irfftn(spec, conv_shape, axes=axes)
-    center = tuple(
-        slice(m - 1, m - 1 + m) for m in grid.shape
-    )  # offset (m-1) aligns diff lattice zero with each grid point
-    convolved = conv[center] * grid.spacing**n
-
+    # entry m - 1 of the convolution aligns the difference lattice's zero
+    # with the first grid point
+    convolved = _lattice_convolution(lower_vals, upper_vals, 1, grid.shape) \
+        * grid.spacing**grid.n
     return float(np.max(np.abs(direct - convolved)))

@@ -28,6 +28,7 @@ a Gaussian factors over the axes, which the extension's grid path uses.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,6 +42,33 @@ __all__ = [
     "poisson_kernel", "kernel_profile", "kernel_mass", "kernel_derivative",
     "kernel_deriv_eval", "dalpha_residual",
 ]
+
+
+def _real(v, name, rule="a finite real number"):
+    # v as a float: a finite real, never a bool or a string
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v):
+        return float(v)
+    raise ValueError("%s must be %s, got %r" % (name, rule, v))
+
+
+def _integer(v, name, least):
+    # v as an int >= least, never a bool or a float
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least:
+        return int(v)
+    raise ValueError("%s must be an integer >= %d, got %r" % (name, least, v))
+
+
+def _each(seq, rule, name, *args):
+    # the rule applied to every entry of a sequence (a scalar is one entry)
+    return tuple(rule(v, name, *args) for v in (seq if np.ndim(seq) else (seq,)))
+
+
+def _height(v, name="y"):
+    """The height rule: v as a float, a finite real > 0."""
+    h = _real(v, name, "a finite real > 0")
+    if h > 0.0:
+        return h
+    raise ValueError("%s must be a finite real > 0, got %r" % (name, v))
 
 
 @dataclass(frozen=True)
@@ -58,16 +86,14 @@ class ModelParams:
     mu: float = field(init=False)  # weight and growth exponent alpha + n + 1
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        n = int(self.n)
-        if not (alpha > -1.0 and math.isfinite(alpha)):
+        alpha = _real(self.alpha, "alpha")
+        n = _integer(self.n, "n", 1)
+        if not alpha > -1.0:
             raise ValueError(
                 "alpha = %r is outside the admissible range: alpha must be a "
                 "finite number > -1. At alpha = -1 the kernel normalization "
                 "diverges, and below it the weighted problem admits only the "
                 "zero solution" % (self.alpha,))
-        if n < 1:
-            raise ValueError("n must be a positive integer, got %r" % (self.n,))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", n)
         try:
@@ -91,14 +117,8 @@ class HalfSpacePoint:
     y: float
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = float(self.y)
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise ValueError("x must be a finite vector")
-        if not (y > 0.0 and math.isfinite(y)):
-            raise ValueError("y must be finite and > 0, got %r" % (self.y,))
-        object.__setattr__(self, "x", tuple(float(v) for v in x))
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", _each(self.x, _real, "x"))
+        object.__setattr__(self, "y", _height(self.y))
 
     @property
     def n(self):
@@ -112,12 +132,10 @@ class MultiIndex:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(int(c) for c in np.atleast_1d(self.components))
-        if any(c < 0 for c in comps):
-            raise ValueError("multi-index components must be >= 0")
+        comps = _each(self.components, _integer, "beta", 0)
         if sum(comps) > 4:
             raise ValueError(
-                "derivative order %d unsupported (max 4)" % sum(comps))
+                "beta: derivative order %d unsupported (max 4)" % sum(comps))
         object.__setattr__(self, "components", comps)
 
     @property
@@ -131,9 +149,7 @@ def unit_sphere_area(n):
     For n = 1 this is 2 (the two endpoints of the "sphere" in R^1), which is
     exactly the factor turning a radial integral into one over the line.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", 1)
     return 2.0 * math.pi ** (0.5 * n) / gamma_fn(0.5 * n)
 
 
@@ -145,16 +161,12 @@ def _check_point(p, pt):
 
 def kernel_profile(p, r, y):
     """K_{alpha,y} as a function of the radius r = |x|; vectorized in r."""
-    y = float(y)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("y must be finite and > 0, got %r" % (y,))
-    return kernel_deriv_eval(p, (0,) * p.n, (np.asarray(r, dtype=float),), y)
+    return kernel_deriv_eval(p, (0,) * p.n, (np.asarray(r, dtype=float),), _height(y))
 
 
 def poisson_kernel(p, pt):
     """K_{alpha,y}(x) at a single half-space point."""
-    _check_point(p, pt)
-    return kernel_deriv_eval(p, (0,) * p.n, pt.x, pt.y)
+    return kernel_derivative(p, (0,) * p.n, pt)
 
 
 def kernel_mass(p, y, acc=EvalAccuracy()):
@@ -169,9 +181,7 @@ def kernel_mass(p, y, acc=EvalAccuracy()):
 
 def _mass_with_error(p, y, acc=EvalAccuracy()):
     """kernel_mass and its error estimate, the gap to order 6 on the same panels."""
-    y = float(y)  # participates only through the (exact) scale invariance
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("y must be finite and > 0, got %r" % (y,))
+    _height(y)  # participates only through the (exact) scale invariance
     mass = float(_cone_mass(p, 0.5 * math.pi))
     err = abs(mass - float(_cone_mass(p, 0.5 * math.pi, order=6)))
     if err > acc.rel_tol * mass + acc.abs_tol:
@@ -360,7 +370,8 @@ def kernel_derivative(p, beta, pt):
     if len(beta.components) != p.n:
         raise ValueError("multi-index has length %d, expected %d"
                          % (len(beta.components), p.n))
-    return kernel_deriv_eval(p, beta.components, pt.x, pt.y)
+    # one-element arrays: the bits of an array call at the same point
+    return float(kernel_deriv_eval(p, beta.components, np.array(pt.x)[:, None], pt.y)[0])
 
 
 def dalpha_residual(u, p, pt, h=None):
@@ -372,10 +383,8 @@ def dalpha_residual(u, p, pt, h=None):
     """
     _check_point(p, pt)
     y = pt.y
-    if h is None:
-        h = y / 100.0
-    h = float(h)
-    if not (0.0 < h < y / 4.0):
+    h = y / 100.0 if h is None else _height(h, "h")
+    if not h < y / 4.0:
         raise ValueError("need 0 < h < y/4 = %g to keep the stencil in the "
                          "half-space, got h = %g" % (y / 4.0, h))
     x = np.asarray(pt.x)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ._quadrature import QuadratureError, ray_nodes
-from .kernel import kernel_deriv_eval, kernel_mass
+from .kernel import _height, kernel_deriv_eval, kernel_mass
 from .special_functions import EvalAccuracy, phi_nu
 
 __all__ = [
@@ -33,9 +33,7 @@ __all__ = [
 
 def ft_closed_form(p, y, xi_norm):
     """Fourier transform of K_{alpha,y} at |xi| = xi_norm, via phi_nu."""
-    y = float(y)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("y must be finite and > 0, got %r" % (y,))
+    y = _height(y)
     xi_norm = np.asarray(xi_norm, dtype=float)
     if np.any(xi_norm < 0.0):
         raise ValueError("xi_norm must be >= 0")
@@ -57,7 +55,7 @@ def ft_integral_rep(p, y, xi_norm, acc=EvalAccuracy()):
     peak, and the prefactor through lgamma, so neither overflows at large
     alpha.
     """
-    b = float(y) * float(xi_norm)
+    b = _height(y) * float(xi_norm)
     if not (b > 0.0 and math.isfinite(b)):
         raise ValueError("need y * xi_norm > 0, got %r" % (b,))
     a2 = 0.5 * p.alpha
@@ -120,9 +118,7 @@ def ft_direct(p, y, xi, acc=EvalAccuracy()):
     F ~ e^{-y|xi|} cancels, and that floor is within 1e-6 |F| (up to
     y|xi| ~ 22 at small alpha); QuadratureError when no level is accepted.
     """
-    y = float(y)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("y must be finite and > 0, got %r" % (y,))
+    y = _height(y)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size != p.n:
         raise ValueError("xi has length %d, params say n = %d"

@@ -305,8 +305,42 @@ TERM = ('{"beta": [0], "origin": [0.0], "spacing": 0.1, "shape": [2], '
     ('{"alpha": 0.0, "n": 1, "terms": [' + TERM.replace('0.1', '-0.1')
      + ']}', "spacing"),
     ('not json at all', "not valid JSON"),
+] + [
+    # lists hold flat number tokens; the value types take no bool, string,
+    # null or float where an integer belongs, and never truncate
+    ('{"alpha": 0.0, "n": 1, "terms": [' + TERM.replace(old, new) + ']}',
+     "terms[0]." + field)
+    for field, old, new in [
+        ("origin", '[0.0]', '["1.5"]'), ("origin", '[0.0]', '[null]'),
+        ("values", '[1.0, 2.0]', '[1.0, true]'),
+        ("values", '[1.0, 2.0]', '[[1.0], [2.0]]'),
+        ("values", '[1.0, 2.0]', '"1.0, 2.0"'),
+        ("shape", '[2]', '[2.0]'), ("shape", '[2]', '[true]'),
+        ("beta", '[0]', '[0.0]'),
+        ("spacing", '0.1', 'null'), ("spacing", '0.1', '"0.1"')]
 ])
 def test_schema_errors(tmp_path, doc, needle):
     with pytest.raises(SchemaError) as err:
         load_data(_write(tmp_path, doc))
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Grid((0.0,), 0.1, (2.7,)),
+    lambda: Grid((0.0,), 0.1, (2.0,)),
+    lambda: Grid(("1.5",), 0.1, (2,)),
+    lambda: Grid((0.0,), None, (2,)),
+    lambda: Grid((0.0,), True, (2,)),
+    lambda: Grid(((0.0, 1.0),), 0.1, (2,)),
+    lambda: WeightedTerm(MultiIndex((0,)), Grid((0.0,), 0.1, (2,)), ["1.0", "2.0"]),
+    lambda: WeightedTerm(MultiIndex((0,)), Grid((0.0,), 0.1, (2,)), [["1.0"], [True]]),
+    lambda: WeightedTerm(MultiIndex((0,)), Grid((0.0,), 0.1, (2,)), [True, False]),
+    lambda: WeightedTerm(MultiIndex((0,)), Grid((0.0,), 0.1, (2,)), [1.0, None]),
+    lambda: SubcriticalCase(-math.inf, 0.0),
+    lambda: SubcriticalCase("0.5", 0.0),
+    lambda: CriticalCase(math.nan),
+    lambda: sharpness_data(ModelParams(0.0, 1), SubcriticalCase(0.0, 0.0), 2.7),
+], ids=lambda _: "")
+def test_grid_and_term_raise_value_error_and_never_coerce(make):
+    with pytest.raises(ValueError):
+        make()

@@ -12,6 +12,7 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from gasp import (
     BoundaryData,
@@ -578,3 +579,72 @@ def test_help_lists_every_subcommand(runner):
     for name in ("kernel", "fourier", "extend", "converge", "hitting",
                  "simulate", "growth"):
         assert name in result.output
+
+
+# a valid config document for every subcommand, in JSON's own types and
+# sized to run in milliseconds; "tent.json" is the file _FUZZ_TENT writes
+_FUZZ_VALID = {
+    "kernel eval": {"alpha": 1.5, "n": 2, "x": [0.3, 0.4], "y": 0.7},
+    "kernel mass": {"alpha": 1.5, "n": 2, "y": 0.7},
+    "kernel residual": {"alpha": 1.5, "n": 2, "x": [0.3, 0.4], "y": 0.7, "h": 0.005},
+    "fourier compare": {"alpha": 1.0, "n": 1, "y": 1.5, "xi": [0.5, 2.0]},
+    "extend": {"data": "tent.json", "alpha": 0.0, "n": 1, "y": 0.5, "origin": [-1.0],
+               "spacing": 0.5, "shape": [5]},
+    "converge": {"data": "tent.json", "alpha": 0.0, "n": 1, "y_list": [1.0, 0.5]},
+    "hitting kernel": {"alpha": 0.0, "n": 1, "y": 2.0, "eta": 1.0, "r": [0.0, 1.0]},
+    "hitting semigroup": {"alpha": 0.0, "n": 1, "y": 3.0, "eta2": 2.0, "eta1": 1.0,
+                          "origin": [-1.0], "spacing": 1.0, "shape": [3], "tol": 0.5},
+    "simulate boundary": {"alpha": 2.0, "n": 1, "y": 1.5, "paths": 5, "dt": 0.01,
+                          "floor": 0.01, "seed": 3, "samples": "s.csv", "workers": 1},
+    "simulate hitting": {"alpha": 0.0, "n": 1, "y": 2.5, "eta": 1.5, "paths": 5,
+                         "dt": 0.01, "seed": 5, "samples": "s.csv", "workers": 1},
+    "growth scan": {"data": "tent.json", "alpha": 0.0, "n": 1, "r": [2.0, 4.0],
+                    "theta_count": 16},
+    "growth counterexample": {"alpha": 0.0, "n": 1, "case": "subcritical", "beta": 0.5,
+                              "gamma": 0.5, "k_max": 6},
+}
+_FUZZ_TENT = BoundaryData(ModelParams(0.0, 1), (WeightedTerm(
+    MultiIndex((0,)), Grid((-1.0,), 0.125, (17,)),
+    np.maximum(1.0 - np.abs(np.linspace(-1.0, 1.0, 17)), 0.0)),))
+# numbers of every sign, integral or not, finite or not, and what is no number
+_NUMBERS = [0, -1, 3, 0.5, 1.5, 2.0, -2.5, 1e-3, math.nan, math.inf, -math.inf]
+_SCALARS = _NUMBERS + [None, True, False, "", "abc", "1.5", "0,1"]
+_ODD = st.one_of(
+    st.sampled_from(_NUMBERS), st.lists(st.sampled_from(_NUMBERS), min_size=1, max_size=3),
+    st.sampled_from(_SCALARS), st.lists(st.sampled_from(_SCALARS), max_size=3),
+    st.lists(st.lists(st.sampled_from(_SCALARS), max_size=2), min_size=1, max_size=2))
+
+
+@st.composite
+def _fuzz_cases(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_VALID)))
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZ_VALID[command])), min_size=1,
+                         max_size=2, unique=True))
+    return command, {key: draw(_ODD) for key in keys}
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_fuzz_cases())
+@example(case=("kernel eval", {"y": None}))
+@example(case=("hitting semigroup", {"spacing": None}))
+@example(case=("kernel eval", {"x": [True]}))
+@example(case=("growth counterexample", {"case": "critical", "gamma": -math.inf}))
+@example(case=("extend", {"data": True}))
+def test_config_documents_keep_the_exit_code_contract(case):
+    # every document exits 0, 2 (invalid input) or 3 (nonconvergence or
+    # overflow), never with a traceback, and 2 and 3 write a JSON error
+    command, changes = case
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        save_data(_FUZZ_TENT, "tent.json")
+        with open("cfg.json", "w") as fh:
+            json.dump(dict(_FUZZ_VALID[command], **changes), fh)
+        result = runner.invoke(main, command.split() + ["--config", "cfg.json"])
+    assert result.exit_code in (0, 2, 3), (result.exit_code, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    if result.exit_code:
+        doc = _stderr_doc(result)
+        assert set(doc) == {"error", "message"}
+        assert doc["error"] in (("validation",) if result.exit_code == 2
+                                else ("nonconvergence", "overflow"))

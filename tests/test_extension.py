@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gasp
 from gasp import extension
 from gasp.boundary_data import (
     BoundaryData,
@@ -500,6 +501,25 @@ def test_fft_path_transforms_at_7_smooth_lengths(monkeypatch):
     extend_grid(data, p, 0.5, Grid((-4.0,), 2.0 / 192, (513,)))
     assert len(lengths) == 3 * (2 + 1)
     assert min(lengths) >= 353 and all(seven_smooth(k) for k in lengths)
+
+
+@pytest.mark.parametrize("height", [None, True, 0.0, -1.0, math.inf, "1"])
+@pytest.mark.parametrize("call", [
+    lambda d, p, h: gasp.kernel_profile(p, 1.0, h),
+    lambda d, p, h: gasp.kernel_mass(p, h),
+    lambda d, p, h: extend_grid(d, p, h, d.terms[0].grid),
+    lambda d, p, h: boundary_convergence(d, p, [2.0, h]),
+    lambda d, p, h: derivative_commutation_check(d, p, (1,), HalfSpacePoint((0.0,), 1.0),
+                                                 h),
+    lambda d, p, h: gasp.ft_closed_form(p, h, 1.0),
+    lambda d, p, h: gasp.ft_direct(p, h, (1.0,)),
+    lambda d, p, h: gasp.boundary_kernel_cdf(p, h),
+    lambda d, p, h: gasp.far_field_integral(p, d, h),
+], ids=lambda _: "")
+def test_every_bare_height_goes_through_the_height_rule(call, height):
+    data, p = tent_data(0.0, 1, 17)
+    with pytest.raises(ValueError, match="must be a finite real > 0"):
+        call(data, p, height)
 
 
 # ---------------------------------------------------------------------------

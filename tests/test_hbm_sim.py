@@ -63,6 +63,14 @@ def test_config_rejects_bad_paths_and_seed():
         make_cfg(master_seed=2**64)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dt", None), ("dt", "0.01"), ("n_paths", True), ("master_seed", 1.0),
+    ("y_stop", None), ("y_stop", math.nan), ("y_floor", "0.01"), ("y_floor", True)])
+def test_config_takes_no_bool_string_or_none_for_a_number(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_cfg(**{field: value})
+
+
 def test_config_level_mode_rules():
     cfg = make_cfg(start=HalfSpacePoint(x=(0.0,), y=2.0), y_stop=1.0)
     assert not cfg.boundary_mode and cfg.stop_level == 1.0 and cfg.y_floor is None

@@ -30,6 +30,12 @@ def test_level_pair_rejects_bad_order(y, eta):
         LevelPair(y=y, eta=eta)
 
 
+@pytest.mark.parametrize("y,eta", [(True, 0.5), (2.0, "1"), (None, 1.0)])
+def test_level_pair_rejects_what_is_no_real_number(y, eta):
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        LevelPair(y=y, eta=eta)
+
+
 def test_level_pair_rejects_non_finite():
     with pytest.raises(ValueError):
         LevelPair(y=math.inf, eta=1.0)

@@ -373,6 +373,37 @@ def test_kernel_deriv_eval_large_alpha_is_finite_and_bitwise_scalar(y):
     assert np.all(np.isfinite(kernel_deriv_eval(p, (2, 1), (d1 + 0.3 * y, -0.1 * y), y)))
 
 
+def test_scalar_calls_are_bitwise_the_array_call():
+    # NumPy's vectorized ** and Python's float ** round apart in about 5%
+    # of cases; the point entry points evaluate through one-element arrays
+    p = ModelParams(2.0, 2)
+    xs = np.random.default_rng(7).uniform(-1.0, 1.0, size=(2, 1000))
+    arr = kernel_deriv_eval(p, (0, 0), tuple(xs), 0.7)
+    d1 = kernel_deriv_eval(p, (1, 0), tuple(xs), 0.7)
+    for i in range(xs.shape[1]):
+        pt = HalfSpacePoint(tuple(xs[:, i]), 0.7)
+        assert poisson_kernel(p, pt) == arr[i]
+        assert kernel_derivative(p, (1, 0), pt) == d1[i]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelParams(0.0, 1.5),
+    lambda: ModelParams(0.0, True),
+    lambda: ModelParams("0.5", 1),
+    lambda: ModelParams(math.nan, 1),
+    lambda: MultiIndex((1.9,)),
+    lambda: MultiIndex((True, 0)),
+    lambda: HalfSpacePoint(("0.5",), 1.0),
+    lambda: HalfSpacePoint((0.5, True), 1.0),
+    lambda: HalfSpacePoint((0.0,), None),
+    lambda: HalfSpacePoint((0.0,), "1"),
+    lambda: HalfSpacePoint([[0.0]], 1.0),
+], ids=lambda _: "")
+def test_value_types_raise_value_error_and_never_coerce(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # the kernel as a mixture of Gaussians
 
