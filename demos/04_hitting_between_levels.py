@@ -3,8 +3,9 @@
 A path started at height y that is stopped on the lower level eta lands with
 density G_{y,eta}.  On the Fourier side G is a ratio of Bessel-K profiles;
 the physical kernel comes from a Hankel transform.  This script prints the
-kernel, checks the alpha = 0 Cauchy specialization, verifies the two-step
-semigroup property, and confirms unit mass via the packaged CDF.
+kernel, checks the alpha = 0 Cauchy specialization (and its n = 2 tail far
+out), verifies the two-step semigroup property, and confirms unit mass via
+the packaged CDF.
 """
 
 import numpy as np
@@ -36,6 +37,12 @@ def main():
         got = hitting_kernel(p0, lv, r)
         ref = s / (np.pi * (s * s + r * r))
         print("  r=%-3g G=%.12f  Cauchy=%.12f" % (r, got, ref))
+    # every radius is one Hankel row on the ray, so the cost of a radius
+    # does not grow with it: the n = 2 tail 3000 gaps out
+    r = 3000.0
+    got = hitting_kernel(ModelParams(0.0, 2), lv, r)
+    ref = s / (2.0 * np.pi * (r * r + s * s) ** 1.5)
+    print("  n=2 r=%g G=%.12e  Poisson=%.12e" % (r, got, ref))
     print()
 
     print("unit mass (CDF limit at infinity):")

@@ -10,11 +10,11 @@ The quotient is evaluated in log space so that both Bessel factors can be
 taken far past the range where K_nu itself underflows.  K_nu has no zeros
 in Re s > 0, so Q is analytic there, and the density inverts it along the
 ray s = t e^{i pi/4}, where nothing oscillates: one evaluation of Q serves
-every radius of a call.  At odd n the Bessel factor J_{n/2-1}(rs) is Re of
-e^{irs} times a polynomial in 1/(rs) (at n = 1, G(r) = (1/pi) Re Int Q(s)
-e^{irs} ds); at even n Poisson's integral J_m(z) ~ z^m Int_0^pi sin^{2m}th
-cos(z cos th) dth (DLMF 10.9.4) makes each radius the ray transform of
-Q s^{n-1} at the frequencies r cos th_j, summed by the trapezoid rule in th.
+every radius of a call.  The Bessel factor J_m(rs), m = n/2 - 1, of the
+Hankel transform is Re H_m^(1)(rs) on the real axis, and H_m^(1)(x) =
+2/(pi i) e^{-i m pi/2} K_|m|(-ix) decays on the ray: each radius is one ray
+transform of Q(s) s^{n/2} K_|m|(-irs), in every dimension (at n = 1, G(r) =
+(1/pi) Re Int Q(s) e^{irs} ds).
 For alpha >= 0 the ray carries Q minus phi_nu(c s), the transform of the
 closed-form kernel at the height c = (y^{2 nu} - eta^{2 nu})^{1/(2 nu)}, which
 shares the s^{2 nu} term behind the algebraic tail of G and is added back
@@ -36,7 +36,7 @@ from ._quadrature import QuadratureError, ray_nodes
 from .boundary_data import Grid, radius_sq
 from .extension import _lattice_convolution
 from .kernel import ModelParams, _real, kernel_profile, unit_sphere_area
-from .special_functions import EvalAccuracy, _lgamma_pos, log_bessel_k
+from .special_functions import EvalAccuracy, _k_scaled, _lgamma_pos, log_bessel_k
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def hitting_ft(p: ModelParams, levels: LevelPair, xi_norm):
     -------
     float or ndarray
         ``(y/eta)^nu K_nu(y s) / K_nu(eta s)`` at ``s = xi_norm``, with the
-        limit value 1 at ``s = 0``.  Always in (0, 1].
+        limit value 1 at ``s = 0``.  Always in [0, 1].
 
     Notes
     -----
@@ -168,93 +168,48 @@ def _ray_quotient(p, levels, level):
     return s, ds, q, c
 
 
-def _rows(n, radii, gap):
-    """Ray transforms whose real parts sum to the density at each radius.
-
-    Row i stands for coef_i Re Int Q(s) s^{power_i} E_i(freq_i s) ds, with
-    E(x) = e^{ix} minus its Taylor polynomial of degree ``degree_i`` (none
-    at -1); ``owner`` maps rows to radii, and ``coarse`` reweights rows
-    into the rule in theta at twice the step (even n).
-    """
-    blocks = []
-    for i, r in enumerate(radii):
-        if r == 0.0:
-            blocks.append((0.0, unit_sphere_area(n) / (2.0 * math.pi) ** n,
-                           n - 1, 1.0, -1))
-        elif n % 2:
-            # J_{l+1/2}(x) = Re sqrt(2x/pi) e^{ix} sum_j i^{j-l-1} a_j x^{-j-1}
-            # (DLMF 10.49.6), a_j = (l+j)! / (2^j j! (l-j)!); n = 1 is
-            # J_{-1/2}(x) = Re sqrt(2/(pi x)) e^{ix}. Inside one gap the rows
-            # drop the Taylor terms of e^{ix} that carry the negative powers
-            # of r, which cancel across j: no row then blows up as r -> 0.
-            l = (n - 3) // 2
-            j = np.arange(max(l, 0) + 1)
-            a = np.array([math.factorial(l + k) / math.factorial(l - k)
-                          / math.factorial(k) for k in j]) if n > 1 else 1.0
-            blocks.append((r, (2.0 * math.pi) ** (-0.5 * n) * math.sqrt(2.0 / math.pi)
-                           * a * 0.5 ** j * 1j ** (j - l - 1) * r ** (-l - 1.0 - j),
-                           l + 1 - j, 1.0, np.where(r < gap, l + j, -1)))
-        else:
-            # theta_j = j pi / N on [0, pi/2], folded from [0, pi]; the
-            # integrand varies on the scale gap / r in theta
-            count = 4 * math.ceil(16.0 * max(r / gap, 0.5))
-            j = np.arange(count // 2 + 1)
-            th = j * math.pi / count
-            w = np.where((j > 0) & (j < count // 2), 2.0, 1.0) * math.pi / count
-            blocks.append((r * np.cos(th), (2.0 * math.pi) ** (-0.5 * n)
-                           * 2.0 ** (1.0 - 0.5 * n) * w * np.sin(th) ** (n - 2)
-                           / (math.gamma(0.5 * (n - 1)) * math.sqrt(math.pi)),
-                           n - 1, np.where(j % 2, 0.0, 2.0), -1))
-    rows = [np.broadcast_arrays(i, *b) for i, b in enumerate(blocks)]
-    return (np.concatenate([np.ravel(v[k]) for v in rows]) for k in range(6))
-
-
-def _exp_tail(x, degree):
-    """e^{ix} minus its Taylor polynomial of the given degree (-1: none)."""
-    ix, out = 1j * x, np.exp(1j * x)
-    if np.any(degree >= 0):
-        term, series = np.ones_like(ix), np.zeros_like(ix)
-        for q in range(int(np.max(degree)) + 31):
-            out = out - np.where(q <= degree, term, 0.0)
-            series = series + np.where((q > degree) & (q <= degree + 30), term, 0.0)
-            term = term * ix / (q + 1)
-        # below |x| = 1 the tail's own series, free of cancellation
-        out = np.where((np.abs(x) < 1.0) & (degree >= 0), series, out)
-    return out
-
-
 def _invert(p, levels, radii, acc):
     """Density and error estimate at each radius (1-D array).
 
-    The estimate adds the gap to the ray rule at twice the step, the gap to
-    the theta rule at twice the step (even n) and the rounding bound
-    eps * sum |terms| of the ray sums. Each radius takes the first level
-    whose estimate meets ``acc``, so its bits do not depend on the others.
+    G(r > 0) is Re of coef times the ray transform of Q(s) s^{n-1} z^{-m}
+    K_|m|(z), z = -irs, at phase -pi/4. Inside one gap at n >= 3 K drops its
+    Laurent terms, which feed only Y_m, so no term blows up as r -> 0.
+    G(0) is the moment omega_{n-1} (2 pi)^{-n} Int Q s^{n-1} ds. The
+    estimate adds the gap to the ray rule at twice the step and the rounding
+    bound eps * sum |terms|. Each radius takes the first level whose
+    estimate meets ``acc``, so its bits do not depend on the others.
     """
-    owner, freq, coef, power, coarse, degree = _rows(p.n, radii, levels.gap)
-
-    def per_radius(v):
-        return np.bincount(owner, weights=v, minlength=radii.size)
-
-    sums = np.zeros((3, freq.size))
+    m = 0.5 * p.n - 1.0
+    zero = radii == 0.0
+    coef = np.where(zero, unit_sphere_area(p.n) / (2.0 * math.pi) ** p.n,
+                    (2.0 * math.pi) ** (-0.5 * p.n) * 2.0 / (math.pi * 1j)
+                    * cmath.exp(-1j * math.pi * m))
+    drop = (radii < levels.gap) & (m > 0.0)
+    # G is even and smooth in r: below 1e-150 gaps a floor keeps rs off 0
+    iz = -1j * np.maximum(radii, 1e-150 * levels.gap)
+    sums = np.zeros((3, radii.size))
     value, error = np.zeros(radii.size), np.full(radii.size, np.inf)
     for level in range(_LEVELS):
         s, ds, q, c = _ray_quotient(p, levels, level)
-        base = np.array([q * ds * s ** j for j in range(p.n)])
-        for lo in range(0, freq.size, 2048):
-            rows = slice(lo, lo + 2048)
-            terms = (coef[rows, None] * base[power[rows]]
-                     * _exp_tail(freq[rows, None] * s, degree[rows, None]))
+        base = q * ds * s ** (p.n - 1)
+        # blocks of about 4096 z: the integer orders' Bessel rule takes 2^5 to
+        # 2^7 nodes per value, so the block, not the radius count, bounds memory
+        size = max(4096 // s.size, 1)
+        for lo in range(0, radii.size, size):
+            rows = slice(lo, lo + size)
+            pos = ~zero[rows]
+            f = np.ones((pos.size, s.size), dtype=complex)
+            f[pos] = _k_scaled(m, iz[rows][pos, None] * s, drop[rows][pos, None])
+            terms = coef[rows, None] * base * f
             sums[0, rows] += np.sum(terms.real, axis=1)
             sums[1, rows] = np.sum(terms.real[:, ::2], axis=1)
             sums[2, rows] += np.sum(np.abs(terms), axis=1)
         step = _STEP / 2 ** level
-        fine = per_radius(step * sums[0])
-        old = per_radius(2.0 * step * sums[1]) if not level else prev
+        fine = step * sums[0]
+        old = 2.0 * step * sums[1] if not level else prev
         prev = fine
         far = kernel_profile(p, radii, c) if c is not None else 0.0
-        new = (np.abs(fine - old) + np.abs(fine - per_radius(coarse * step * sums[0]))
-               + 8.0 * np.finfo(float).eps * per_radius(step * sums[2]))
+        new = np.abs(fine - old) + 8.0 * np.finfo(float).eps * step * sums[2]
         take = (error > acc.rel_tol * np.abs(value) + acc.abs_tol) \
             & ((new <= acc.rel_tol * np.abs(fine + far) + acc.abs_tol)
                | (level == _LEVELS - 1))
@@ -284,10 +239,9 @@ def hitting_kernel(p: ModelParams, levels: LevelPair, x_norm, acc=EvalAccuracy()
         Density values. A radius whose error estimate misses the target
         raises QuadratureError: tail densities far below the quotient's
         scale (alpha = 10 at r = 16 gaps, say) cannot be resolved in double
-        precision, nor can even n far out, where Poisson's integral
-        cancels (n = 4 from about 10 gaps). Small negative results (within
-        ``max(acc.abs_tol, 1e-12)``) are clipped to 0.0 and reported
-        through a RuntimeWarning, one per radius.
+        precision. Small negative results (within ``max(acc.abs_tol,
+        1e-12)``) are clipped to 0.0 and reported through a RuntimeWarning,
+        one per radius.
     """
     r = np.asarray(x_norm, dtype=float)
     if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -648,3 +649,26 @@ def test_config_documents_keep_the_exit_code_contract(case):
         assert set(doc) == {"error", "message"}
         assert doc["error"] in (("validation",) if result.exit_code == 2
                                 else ("nonconvergence", "overflow"))
+
+
+@pytest.mark.parametrize("r", [1e4, 1e8, 1e12, 1e300])
+def test_hitting_kernel_documents_at_large_radii_keep_the_contract(r):
+    # no part of the inversion is sized by the radius: every document
+    # exits 0 with a finite G >= 0 or 3 with a JSON error, in milliseconds
+    runner = CliRunner()
+    for n in (1, 2, 3, 4):
+        for alpha in (-0.5, 0.0, 1.5):
+            with runner.isolated_filesystem():
+                with open("cfg.json", "w") as fh:
+                    json.dump({"alpha": alpha, "n": n, "y": 2.0, "eta": 1.0, "r": [r]}, fh)
+                start = time.process_time()
+                result = runner.invoke(main, ["hitting", "kernel", "--config", "cfg.json",
+                                              "--format", "json"])
+                cpu = time.process_time() - start
+            assert result.exit_code in (0, 3), (n, alpha, result.exception)
+            if result.exit_code:
+                assert _stderr_doc(result)["error"] in ("nonconvergence", "overflow")
+            else:
+                g = json.loads(result.output)["rows"][0]["G"]
+                assert math.isfinite(g) and g >= 0.0, (n, alpha, g)
+            assert cpu < 0.5, (n, alpha, cpu)

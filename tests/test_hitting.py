@@ -10,7 +10,7 @@ import gasp.hitting as hitting_mod
 from gasp._quadrature import QuadratureError, gauss_legendre
 from gasp.boundary_data import Grid
 from gasp.hitting import LevelPair, hitting_ft, hitting_kernel, semigroup_check
-from gasp.kernel import HalfSpacePoint, ModelParams, poisson_kernel
+from gasp.kernel import HalfSpacePoint, ModelParams, kernel_profile, poisson_kernel
 from gasp.special_functions import EvalAccuracy
 from lobe_oracle import lobe_density
 
@@ -188,8 +188,8 @@ def test_kernel_alpha_zero_is_cauchy():
 
 
 def test_kernel_continuous_at_origin():
-    # r = 0 is one moment of the quotient, r > 0 a Bessel transform (a
-    # Poisson integral over theta at even n): routes that must meet
+    # r = 0 is one moment of the quotient, r > 0 a Hankel row on the ray
+    # (without its Laurent terms at n = 3): routes that must meet
     lv = LevelPair(y=2.0, eta=0.5)
     for alpha in (0.0, 1.5, 3.0):
         for n in (1, 2, 3):
@@ -292,7 +292,7 @@ def test_kernel_accepts_accuracy():
 
 def test_kernel_array_is_bitwise_its_scalar_calls():
     # one quotient evaluation serves the array; each radius keeps its own
-    # rows and row sums, so no bit depends on the other radii
+    # row and row sums, so no bit depends on the other radii
     lv = LevelPair(2.0, 0.75)
     radii = np.array([0.0, 1e-7, 0.3, 0.3, 1.0, 2.5, 4.0, 7.0])
     for alpha, n in ((0.0, 1), (1.5, 1), (3.0, 2), (-0.5, 3), (1.5, 4), (0.5, 5)):
@@ -301,6 +301,14 @@ def test_kernel_array_is_bitwise_its_scalar_calls():
         assert arr.tolist() == [hitting_kernel(p, lv, float(r)) for r in radii]
         assert np.array_equal(hitting_kernel(p, lv, radii.reshape(2, 4)),
                               arr.reshape(2, 4))
+
+
+def test_kernel_blocks_of_radii_keep_the_bits_of_scalar_calls():
+    # a long array runs in several blocks of radii at every level
+    p, lv = ModelParams(1.5, 4), LevelPair(2.0, 0.75)
+    radii = np.linspace(0.0, 20.0, 61)
+    arr = hitting_kernel(p, lv, radii)
+    assert arr.tolist() == [hitting_kernel(p, lv, float(r)) for r in radii]
 
 
 def test_kernel_clips_per_radius(monkeypatch):
@@ -389,6 +397,51 @@ def test_kernel_far_tail_meets_rel_tol_or_raises():
     except QuadratureError:
         return
     assert abs(got - 8.2935167565567e-12) <= 1e-10 * 8.2935167565567e-12
+
+
+# Levels 2 -> 0.75, out where the density falls far below the quotient's
+# scale (n = 4 at 9.6, 20 and 30 gaps, n = 2 at 24 and 80), from mpmath at
+# 40 digits: the quotient along the ray, inverted with hankel1 (the n = 4
+# values at 20 and 30 gaps agree to 20 digits at 55)
+_FAR = {
+    (1.5, 4, 12.0): 1.1924780701044370153e-7,
+    (1.5, 4, 25.0): 1.1486344029182532087e-9,
+    (1.5, 4, 37.5): 8.4508584959147304142e-11,
+    (3.0, 2, 30.0): 1.3425591573989230049e-8,
+    (1.5, 2, 30.0): 4.5218970633534571721e-7,
+    (1.5, 2, 100.0): 2.0518169100587688131e-9,
+}
+
+
+@pytest.mark.parametrize("alpha,n,r", sorted(_FAR))
+def test_kernel_frozen_values_far_out(alpha, n, r):
+    got = hitting_kernel(ModelParams(alpha, n), LevelPair(2.0, 0.75), r)
+    assert abs(got - _FAR[alpha, n, r]) <= 1e-10 * _FAR[alpha, n, r]
+
+
+def test_kernel_cauchy_tail_thousands_of_gaps_out():
+    # at alpha = 0 the far-field kernel is all of G, the Poisson kernel at
+    # height gap; nothing in the inversion is sized by the radius
+    got = hitting_kernel(ModelParams(0.0, 2), LevelPair(2.0, 1.0), 3000.0)
+    want = 1.0 / (2.0 * math.pi * (3000.0**2 + 1.0) ** 1.5)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_far_tail_approaches_the_far_field_kernel(alpha, n):
+    # G / K_{alpha,c} - 1 falls with r; a radius the ray cannot resolve
+    # raises instead
+    p, lv = ModelParams(alpha, n), LevelPair(2.0, 1.0)
+    c = (lv.y ** (2.0 * p.nu) - lv.eta ** (2.0 * p.nu)) ** (0.5 / p.nu)
+    dev = {}
+    for r in (100.0, 1000.0):
+        try:
+            dev[r] = hitting_kernel(p, lv, r) / kernel_profile(p, r, c) - 1.0
+        except QuadratureError:
+            pass
+    if len(dev) == 2:
+        assert abs(dev[1000.0]) <= 0.1 * abs(dev[100.0]), dev
 
 
 @pytest.mark.parametrize("alpha,n", [(1.5, 1), (3.0, 1), (1.5, 2), (3.0, 2)])

@@ -405,6 +405,47 @@ def test_complex_log_bessel_k_domain():
             log_bessel_k(1.0, z)
 
 
+@pytest.mark.parametrize("m", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+def test_scaled_k_matches_scipy_kve(m):
+    # the hitting density's Hankel rows sit at phase -pi/4; half-integer
+    # orders come in closed form, integer ones through _log_k_complex
+    special = pytest.importorskip("scipy.special")
+    z = np.geomspace(1e-6, 50.0, 37) * np.exp(-0.25j * np.pi)
+    got = special_functions._k_scaled(m, z) * z ** m * np.exp(z)
+    want = special.kve(abs(m), z)
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+
+# z^-m times K_|m|(z) less its Laurent terms 1/2 (-1)^k Gamma(m-k)/k!
+# (z/2)^(2k-m), k < m, at z = |z| e^{-i pi/4}: mpmath at 80 digits
+_DROPPED = {
+    (0.5, 0.3): complex(-1.1212954915151356, -0.11512851751401493),
+    (0.5, 1.9): complex(-0.55758625399668255, -0.32043295392537394),
+    (0.5, 2.1): complex(-0.50905593295925107, -0.31857214491593281),
+    (0.5, 5.0): complex(-0.1800325460220595, -0.18399789883218074),
+    (1.0, 0.3): complex(-0.91430699577232566, -0.3782269325979863),
+    (1.0, 1.9): complex(-0.12371878432261157, -0.20641452702152708),
+    (1.0, 2.1): complex(-0.097518893504790072, -0.18731766961438032),
+    (1.0, 5.0): complex(0.00016399730872615789, -0.043438680765678623),
+    (1.5, 0.3): complex(0.38469232483651464, 0.029639380626306351),
+    (1.5, 1.9): complex(0.23372088378095076, 0.09917510366339497),
+    (1.5, 2.1): complex(0.2191057647063748, 0.1010955739531045),
+    (1.5, 5.0): complex(0.096543394070929804, 0.080072276974055669),
+    (2.0, 0.3): complex(0.25946614334565558, 0.095607177614729118),
+    (2.0, 1.9): complex(0.051990808657906976, 0.061745436126716716),
+    (2.0, 2.1): complex(0.043869091927131033, 0.057563653661266408),
+    (2.0, 5.0): complex(0.0039225979216490754, 0.019552650696718466),
+}
+
+
+@pytest.mark.parametrize("m,rho", sorted(_DROPPED))
+def test_scaled_k_dropped_form_frozen(m, rho):
+    # the power series up to |z| = 2, the plain difference beyond
+    z = np.array([rho * np.exp(-0.25j * np.pi)])
+    got = special_functions._k_scaled(m, z, drop=True)[0]
+    assert abs(got - _DROPPED[m, rho]) <= 1e-14 * abs(_DROPPED[m, rho])
+
+
 def test_log_bessel_k_extreme_arguments_are_finite():
     # 5e-324: the smallest double (phi_nu at r = 5e-324); 5.5e18: the
     # exp-sinh nodes of the hitting density at r = 0
