@@ -2,10 +2,11 @@
 
 Hand-rolled on purpose: the output contract fixes the float formatting
 (17 significant digits in JSON, 9 in CSV), while the stdlib json module
-prints shortest-round-trip reprs.  Both emitters are pure functions of
-their input, so identical runs produce byte-identical documents.
+prints shortest-round-trip reprs, so it escapes the strings only.  Both
+emitters are pure functions: identical runs give byte-identical documents.
 """
 
+import json
 import math
 
 
@@ -33,16 +34,7 @@ def _json_scalar(v, digits):
             return '"%s"' % format_float(v, digits)
         return format_float(v, digits)
     if isinstance(v, str):
-        out = ['"']
-        for ch in v:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return json.dumps(v, ensure_ascii=False)
     raise TypeError("cannot serialize %r" % type(v))
 
 

@@ -95,14 +95,15 @@ def _term_dense(p, components, y, points, in_axes, wf):
     wf = wf.reshape(-1)
     out = np.empty(points.shape[1])
     step = max(1, _DENSE_BLOCK // max(wf.size, 1))
-    for s in range(0, points.shape[1], step):
-        block = points[:, s:s + step]
-        diffs = [block[i].reshape((-1,) + (1,) * n) - axes[i]
-                 for i in range(n)]
-        # a scalar height stays scalar: broadcasting it costs a pass
-        kv = kernel_deriv_eval(p, components, diffs, y if np.ndim(y) == 0
-                               else y[s:s + step].reshape((-1,) + (1,) * n))
-        out[s:s + step] = kv.reshape(block.shape[1], -1) @ wf
+    with np.errstate(over="ignore"):  # once for all blocks: |x/y|^2 -> inf gives 0
+        for s in range(0, points.shape[1], step):
+            block = points[:, s:s + step]
+            diffs = [block[i].reshape((-1,) + (1,) * n) - axes[i]
+                     for i in range(n)]
+            # a scalar height stays scalar: broadcasting it costs a pass
+            kv = kernel_deriv_eval(p, components, diffs, y if np.ndim(y) == 0
+                                   else y[s:s + step].reshape((-1,) + (1,) * n))
+            out[s:s + step] = kv.reshape(block.shape[1], -1) @ wf
     return out
 
 

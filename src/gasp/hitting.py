@@ -36,7 +36,7 @@ from ._quadrature import QuadratureError, ray_nodes
 from .boundary_data import Grid, radius_sq
 from .extension import _lattice_convolution
 from .kernel import ModelParams, _real, kernel_profile, unit_sphere_area
-from .special_functions import EvalAccuracy, _k_scaled, _lgamma_pos, log_bessel_k
+from .special_functions import EvalAccuracy, _k_scaled, log_bessel_k
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _small_arg_ft(nu, levels, s):
 
 # The ray rule (_quadrature.ray_nodes) with t = exp(tau - e^{-tau}) /
 # (3 w cos phi), w = gap (or c/3 if larger). tau runs from t w cos phi ~
-# 3e-8 (1e-16 without the far field, whose remainder falls like s^2) to
+# 3e-8 (3e-22 without the far field, whose remainder falls like s^2) to
 # where Q <= (y/eta)^{nu-1/2} e^{-gap s} (sqrt(z) e^z K_nu(z) falls for
 # nu > 1/2) is below e^{-44}; the scale packs nodes inside the decay length
 # of Q, where the tails of large radii live. Level 0 compares with its own
@@ -153,7 +153,7 @@ def _ray_quotient(p, levels, level):
         width = max(width, c / 3.0)
     hi = math.log(3.0 * width / levels.gap * (
         44.0 + max(nu - 0.5, 0.0) * math.log(levels.y / levels.eta))) + 0.01
-    t, dt = ray_nodes(-2.6 if far else -3.5, hi, _STEP, level,
+    t, dt = ray_nodes(-2.6 if far else -3.8, hi, _STEP, level,
                       3.0 * width * _RAY.real)
     s = t * _RAY
     ds = dt * _RAY
@@ -164,7 +164,7 @@ def _ray_quotient(p, levels, level):
                + log_k[:m] - log_k[m:2 * m])
     if far:
         q -= np.exp((1.0 - nu) * math.log(2.0) + nu * np.log(c * s)
-                    + log_k[2 * m:] - _lgamma_pos(nu))
+                    + log_k[2 * m:] - math.lgamma(nu))
     return s, ds, q, c
 
 
@@ -175,9 +175,10 @@ def _invert(p, levels, radii, acc):
     K_|m|(z), z = -irs, at phase -pi/4. Inside one gap at n >= 3 K drops its
     Laurent terms, which feed only Y_m, so no term blows up as r -> 0.
     G(0) is the moment omega_{n-1} (2 pi)^{-n} Int Q s^{n-1} ds. The
-    estimate adds the gap to the ray rule at twice the step and the rounding
-    bound eps * sum |terms|. Each radius takes the first level whose
-    estimate meets ``acc``, so its bits do not depend on the others.
+    estimate adds the gap to the ray rule at twice the step, the rounding
+    bound eps * sum |terms| and, for alpha < 0, a bound on the ray's head.
+    Each radius takes the first level whose estimate meets ``acc``, so its
+    bits do not depend on the others.
     """
     m = 0.5 * p.n - 1.0
     zero = radii == 0.0
@@ -191,6 +192,14 @@ def _invert(p, levels, radii, acc):
     value, error = np.zeros(radii.size), np.full(radii.size, np.inf)
     for level in range(_LEVELS):
         s, ds, q, c = _ray_quotient(p, levels, level)
+        if not level:
+            # alpha < 0: the head below s_0 is at most |s_0| times the s -> 0
+            # form of the row (|Q| <= 1), at r = gap if r = 0 or Laurent-free
+            t, w = abs(s[0]), np.where(zero | drop, levels.gap, -iz.imag)
+            head = 0.0 if c is not None else np.abs(coef) * t * (
+                math.sqrt(0.5 * math.pi) if m < 0
+                else t * (np.abs(np.log(0.5 * w * t)) + 2.0) if m == 0
+                else math.gamma(m) * 2.0 ** (m - 1.0) * w ** (-2.0 * m) * t)
         base = q * ds * s ** (p.n - 1)
         # blocks of about 4096 z: the integer orders' Bessel rule takes 2^5 to
         # 2^7 nodes per value, so the block, not the radius count, bounds memory
@@ -209,7 +218,7 @@ def _invert(p, levels, radii, acc):
         old = 2.0 * step * sums[1] if not level else prev
         prev = fine
         far = kernel_profile(p, radii, c) if c is not None else 0.0
-        new = np.abs(fine - old) + 8.0 * np.finfo(float).eps * step * sums[2]
+        new = np.abs(fine - old) + 8.0 * np.finfo(float).eps * step * sums[2] + head
         take = (error > acc.rel_tol * np.abs(value) + acc.abs_tol) \
             & ((new <= acc.rel_tol * np.abs(fine + far) + acc.abs_tol)
                | (level == _LEVELS - 1))

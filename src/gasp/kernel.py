@@ -100,10 +100,10 @@ class ModelParams:
             c = gamma_fn(0.5 * (alpha + n + 1.0)) \
                 / (gamma_fn(0.5 * (alpha + 1.0)) * math.pi ** (0.5 * n))
         except OverflowError:
-            # Gamma overflows doubles from alpha of about 281; the quotient
-            # itself grows only like alpha^(n/2)
-            c = math.exp(_lgamma_ratio(0.5 * (alpha + 1.0), 0.5 * n)) \
-                / math.pi ** (0.5 * n)
+            # Gamma overflows doubles from alpha of about 342 - n; the
+            # quotient itself grows only like alpha^(n/2)
+            c = math.exp(_lgamma_ratio(0.5 * (alpha + 1.0), 0.5 * n)
+                         - 0.5 * n * math.log(math.pi))
         object.__setattr__(self, "c_norm", c)
         object.__setattr__(self, "nu", 0.5 * (alpha + 1.0))
         object.__setattr__(self, "mu", alpha + n + 1.0)
@@ -161,7 +161,8 @@ def _check_point(p, pt):
 
 def kernel_profile(p, r, y):
     """K_{alpha,y} as a function of the radius r = |x|; vectorized in r."""
-    return kernel_deriv_eval(p, (0,) * p.n, (np.asarray(r, dtype=float),), _height(y))
+    with np.errstate(over="ignore"):  # (r/y)^2 -> inf gives the right 0
+        return kernel_deriv_eval(p, (0,) * p.n, (np.asarray(r, dtype=float),), _height(y))
 
 
 def poisson_kernel(p, pt):
@@ -371,7 +372,8 @@ def kernel_derivative(p, beta, pt):
         raise ValueError("multi-index has length %d, expected %d"
                          % (len(beta.components), p.n))
     # one-element arrays: the bits of an array call at the same point
-    return float(kernel_deriv_eval(p, beta.components, np.array(pt.x)[:, None], pt.y)[0])
+    with np.errstate(over="ignore"):
+        return float(kernel_deriv_eval(p, beta.components, np.array(pt.x)[:, None], pt.y)[0])
 
 
 def dalpha_residual(u, p, pt, h=None):

@@ -4,7 +4,9 @@ Everything downstream (kernel transforms, hitting quotients, the hitting
 density's inversion) reduces to these evaluators, so their accuracy
 targets are stricter than anything built on top:
 
-* gamma_fn          Lanczos approximation, rel err ~1e-15 on (0, 50]
+* gamma_fn          math.gamma: within 7e-16 of mpmath on [1e-3, 171.6]; raises
+                    OverflowError beyond s = 171.62. _lgamma_ratio, Stirling's
+                    series differenced term by term, serves past that.
 * log_bessel_k      log K_nu(z) from K_nu(z) = Int_0^inf e^{-z cosh t}
                     cosh(nu t) dt by a trapezoid rule on fixed nodes, which
                     converges exponentially for this entire integrand; one
@@ -60,66 +62,30 @@ class EvalAccuracy:
 # ---------------------------------------------------------------------------
 # Gamma
 
-# Lanczos g = 7, 9 terms; the standard double-precision coefficient set.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(s):
-    """Gamma function for real s > 0.
-
-    Relative error ~1e-15 on (0, 50]. Raises ValueError outside the domain.
-    """
+    """Gamma function for real s > 0; OverflowError past s = 171.62."""
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise ValueError("gamma_fn requires finite s > 0, got %r" % (s,))
-    if s < 0.5:
-        # reflection keeps the Lanczos sum in its accurate half-plane
-        return math.pi / (math.sin(math.pi * s) * gamma_fn(1.0 - s))
-    z = s - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) \
-        * _lanczos_sum(z)
+    return math.gamma(s)
 
 
-def _lanczos_sum(z):
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    return acc
-
-
-def _lgamma_pos(s):
-    """log Gamma(s) for s > 0 through the same Lanczos data."""
-    s = float(s)
-    if s >= 10.0:
-        z = s - 1.0
-        t = z + _LANCZOS_G + 0.5
-        return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t \
-            + math.log(_lanczos_sum(z))
-    return math.log(gamma_fn(s))
+# B_2k / (2k (2k - 1)), k = 1..6: the coefficients of Stirling's series
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 def _lgamma_ratio(s, a):
-    """log(Gamma(s + a) / Gamma(s)) for s >= 10 and a >= 0.
+    """log(Gamma(s + a) / Gamma(s)) for s > 0 and a >= 0.
 
-    The Lanczos terms of the two log-gammas, each about s log s, are
-    combined before they are summed, so the result keeps full relative
-    accuracy where their difference would lose eps * s log s.
+    Stirling's series for the two log-gammas, each about s log s, differenced
+    term by term, so the result keeps full relative accuracy where their
+    difference would lose eps * s log s.
     """
-    t = s - 0.5 + _LANCZOS_G
-    return (s - 0.5) * math.log1p(a / t) + a * math.log(t + a) - a \
-        + math.log(_lanczos_sum(s + a - 1.0) / _lanczos_sum(s - 1.0))
+    if s < 10.0:  # Gamma(s + 1) = s Gamma(s) lifts s to the series
+        return _lgamma_ratio(s + 1.0, a) - math.log1p(a / s)
+    return (s - 0.5) * math.log1p(a / s) + a * math.log(s + a) - a + sum(
+        c * ((s + a) ** (1 - 2 * k) - s ** (1 - 2 * k))
+        for k, c in enumerate(_STIRLING, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +321,6 @@ def phi_nu(order, r):
     if np.any(pos):
         rp = r_arr[pos]
         log_phi = ((1.0 - nu) * math.log(2.0) + nu * np.log(rp)
-                   + log_bessel_k(nu, rp) - _lgamma_pos(nu))
+                   + log_bessel_k(nu, rp) - math.lgamma(nu))
         out[pos] = np.exp(np.minimum(log_phi, 0.0))
     return float(out[0]) if scalar else out

@@ -14,7 +14,6 @@ import numpy as np
 
 from gasp._quadrature import QuadratureError, gauss_legendre
 from gasp.hitting import hitting_ft
-from gasp.special_functions import _lgamma_pos
 
 
 # Series/asymptotic crossover. The ascending series is alternating; past
@@ -28,7 +27,7 @@ def _bessel_j_series(nu, z):
     z = np.asarray(z, dtype=float)
     half = 0.5 * z
     with np.errstate(divide="ignore", invalid="ignore"):
-        pref = half ** nu * math.exp(-_lgamma_pos(nu + 1.0))
+        pref = half ** nu * math.exp(-math.lgamma(nu + 1.0))
         term = pref.copy()
         out = pref.copy()
         zz = half * half
@@ -37,7 +36,7 @@ def _bessel_j_series(nu, z):
             out += term
             if np.all(np.abs(term) <= 1e-18 * (np.abs(out) + 1e-300)):
                 break
-    # z = 0 takes the exact limit (the Lanczos round-trip in pref is only
+    # z = 0 takes the exact limit (the log-gamma round-trip in pref is only
     # good to ~2e-16, and the loop arithmetic would turn inf cases into nan)
     if np.any(half == 0.0):
         limit = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else np.inf)

@@ -26,6 +26,7 @@ from gasp import (
     poisson_kernel,
     save_data,
 )
+from gasp._jsonio import json_document
 from gasp._quadrature import QuadratureError
 from gasp.cli import _DEFAULTS, _REQ, main
 
@@ -53,6 +54,15 @@ def _stderr_doc(result):
     return json.loads(result.stderr)
 
 
+def _src_env():
+    # a fresh process that imports gasp from this checkout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    return env
+
+
 def test_kernel_mass_prints_unit_mass_line(runner):
     result = runner.invoke(main, ["kernel", "mass", "--alpha", "1.5",
                                   "--n", "2", "--y", "0.7"])
@@ -71,6 +81,39 @@ def test_kernel_mass_past_gamma_overflow(runner):
     assert float(est) < 1e-8
 
 
+def test_kernel_mass_where_gamma_nears_overflow(runner):
+    # Gamma((alpha+n+1)/2) = Gamma(142.25) is finite: c_norm too, not inf
+    result = runner.invoke(main, ["kernel", "mass", "--alpha", "278.5", "--n", "5"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("1.000000 \u00b1 ")
+
+
+@pytest.mark.parametrize("argv,last", [
+    (["kernel", "eval", "--alpha", "0", "--n", "1", "--x", "1e300", "--y", "1"], "0"),
+    (["hitting", "kernel", "--alpha", "0", "--n", "2", "--y", "2", "--eta", "1",
+      "--r", "1e300"], "1e+300,0"),
+    (["extend", "--data", "TENT", "--y", "1", "--origin=1e300", "--spacing", "1",
+      "--shape", "3"], "1e+300,1,0,0"),
+])
+def test_kernel_far_out_is_zero_without_warnings(argv, last, tent_file):
+    # (x/y)^2 overflows to inf on the way to the right value 0: a fresh
+    # process shows that stderr stays empty
+    argv = [tent_file if a == "TENT" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", "from gasp.cli import main; main()"]
+                          + argv, env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == last
+
+
+def test_json_document_string_escapes_are_pinned():
+    doc = json_document({"s": "a\"b\\c\x01\x1f\u00e9\u2028\U0001F600",
+                         "short": "\b\t\n\f\r"})
+    assert doc.encode() == ('{\n  "s": "a\\"b\\\\c\\u0001\\u001f\u00e9\u2028\U0001F600",\n'
+                            '  "short": "\\b\\t\\n\\f\\r"\n}\n').encode()
+    assert json.loads(doc) == {"s": "a\"b\\c\x01\x1f\u00e9\u2028\U0001F600",
+                               "short": "\b\t\n\f\r"}
+
+
 def test_kernel_eval_at_large_alpha(runner):
     # y^(alpha+1) alone overflows here, though K = c_norm y^-2 does not
     result = runner.invoke(main, ["kernel", "eval", "--alpha", "400", "--n", "2",
@@ -83,13 +126,9 @@ def test_kernel_eval_at_large_alpha(runner):
 def test_cli_import_pulls_in_no_test_dependency():
     # NumPy and click are the only runtime dependencies; an oracle of the
     # tests imported into the package would show up here
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
-                      env.get("PYTHONPATH")]))
     code = ("import sys, gasp.cli; "
             "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -295,6 +334,15 @@ def test_hitting_kernel_tail_is_right_or_exits_3(runner, alpha, radius):
     else:
         assert result.exit_code == 3, result.output
         assert _stderr_doc(result)["error"] == "nonconvergence"
+
+
+def test_hitting_kernel_far_out_below_alpha_zero_exits_3(runner):
+    # G = 1e-30 is representable at r = 1e20, where every ray node's term
+    # underflows: exit 3, not a silent 0
+    result = runner.invoke(main, ["hitting", "kernel", "--alpha", "-0.5", "--n", "1",
+                                  "--y", "2", "--eta", "1", "--r", "1e20"])
+    assert result.exit_code == 3, result.output
+    assert _stderr_doc(result)["error"] == "nonconvergence"
 
 
 def test_hitting_semigroup_report(runner):

@@ -427,6 +427,35 @@ def test_kernel_cauchy_tail_thousands_of_gaps_out():
     assert abs(got - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("alpha", [-0.5, -0.9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_far_out_below_alpha_zero_raises_not_zero(alpha, n):
+    # no far-field kernel carries the algebraic tail r^-(n+alpha+1) here,
+    # and every ray node's term underflows; the ray's head below its first
+    # node keeps the estimate above zero, so the call raises. At n = 4 and
+    # r = 1e150 that bound and G (about 1e-615) both lie below the smallest
+    # subnormal, and 0.0 is the rounded value
+    p, lv = ModelParams(alpha, n), LevelPair(2.0, 1.0)
+    for r in (1e20, 1e50, 1e150):
+        if n == 4 and r == 1e150:
+            assert hitting_kernel(p, lv, r) == 0.0
+            continue
+        with pytest.raises(QuadratureError):
+            hitting_kernel(p, lv, r)
+
+
+@pytest.mark.parametrize("alpha,r,want", [
+    (-0.5, 1e4, 8.020213881352351475e-8),
+    (-0.5, 1e5, 2.5098517714578092754e-9),
+    (-0.9, 1e5, 2.1608939026588338253e-8),
+])
+def test_kernel_below_alpha_zero_thousands_of_gaps_out(alpha, r, want):
+    # the ray starts low enough that the bound on its head stays below
+    # rel_tol G here; mpmath at 30 digits on the same pi/4 ray
+    got = hitting_kernel(ModelParams(alpha, 1), LevelPair(2.0, 1.0), r)
+    assert abs(got - want) <= 1e-10 * want
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_far_tail_approaches_the_far_field_kernel(alpha, n):

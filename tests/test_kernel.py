@@ -43,8 +43,8 @@ def test_model_params_constants():
 
 
 def test_model_params_c_norm_past_gamma_overflow():
-    # Gamma((alpha+n+1)/2) overflows doubles from alpha of about 281; the
-    # quotient is mpmath at 40 digits
+    # Gamma((alpha+n+1)/2) overflows doubles from alpha of about 342 - n;
+    # the quotient is mpmath at 40 digits
     for n, want in ((1, 7.9838339400288955), (2, 63.82113217985003),
                     (3, 510.80798782493744)):
         assert ModelParams(400.0, n).c_norm == pytest.approx(want, rel=1e-14)
@@ -55,6 +55,27 @@ def test_model_params_c_norm_past_gamma_overflow():
             quotient = gamma_fn(s + 0.5 * n) / gamma_fn(s)
             assert math.exp(_lgamma_ratio(s, 0.5 * n)) == pytest.approx(
                 quotient, rel=1e-14)
+
+
+def test_model_params_c_norm_where_gamma_nears_overflow():
+    # alpha = 283.5 - n: Gamma((alpha+n+1)/2) = Gamma(142.25) is finite, and
+    # c_norm too; mpmath at 20 digits
+    want = (6.7112531760195426995, 44.961271423460432355, 300.67834652127084002,
+            2007.2043108245994829, 13375.317413711473981, 88968.63186987227159,
+            590727.53720374196062, 3915184.0204219794134)
+    for n, c in enumerate(want, start=1):
+        assert ModelParams(283.5 - n, n).c_norm == pytest.approx(c, rel=1e-14)
+
+
+def test_model_params_c_norm_at_large_n():
+    # Gamma((alpha+n+1)/2) overflows while (alpha+1)/2 is below 10, and
+    # c_norm is near 1e230 or beyond: the log route carries log c of up to
+    # 630, so about 630 eps of relative error; mpmath at 40 digits
+    for alpha, n, want in ((0.0, 400, 1.1682955790072692809e+274),
+                           (10.0, 340, 4.9519425026890314891e+230),
+                           (9.0, 334, 4.8925821170838294771e+224),
+                           (8.0, 335, 5.6954779678493380248e+224)):
+        assert ModelParams(alpha, n).c_norm == pytest.approx(want, rel=4e-13)
 
 
 def test_model_params_domain():

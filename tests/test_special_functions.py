@@ -111,6 +111,42 @@ def test_gamma_domain():
         gamma_fn(-3.0)
 
 
+# mpmath at 20 digits, up to s = 171.5 just below the overflow of doubles
+@pytest.mark.parametrize("s,want", [
+    (0.01, 99.432585119150601632),
+    (0.5, 1.7724538509055160273),
+    (7.7, 2769.830362327314632),
+    (23.4, 3.919121530539987172e+21),
+    (49.5, 8.6676018431352723453e+61),
+    (100.25, 2.94846628183876997e+156),
+    (140.75, 3.9109956341628217865e+240),
+    (171.5, 9.4833675668247993363e+307),
+])
+def test_gamma_to_two_ulp(s, want):
+    assert rel(gamma_fn(s), want) < 2e-15
+
+
+def test_gamma_raises_past_overflow():
+    # never inf: the kernel normalization turns to its log route on this
+    with pytest.raises(OverflowError):
+        gamma_fn(171.7)
+
+
+# log(Gamma(s + a) / Gamma(s)), mpmath at 40 digits
+@pytest.mark.parametrize("s,a,want", [
+    (10.0, 0.5, 1.138797739322294022), (10.0, 2.0, 4.7004803657924162281),
+    (1e3, 0.5, 3.4537526394962768578), (1e3, 2.0, 13.816510058297357637),
+    (1e6, 0.5, 6.9077551539821370521), (1e6, 2.0, 27.631022115928048209),
+    (1e12, 0.5, 13.815510557964149104), (1e12, 2.0, 55.262042231858096416),
+    # below s = 10, where the recurrence lifts s to the series
+    (0.005, 0.5, -4.7328430702431880758), (0.5, 200.0, 860.00983856685779185),
+    (2.5, 2.0, 2.1690537003695230609), (9.9, 0.5, 1.1336464674003989678),
+    (9.9, 4.0, 9.7150632578607525173),
+])
+def test_lgamma_ratio_frozen(s, a, want):
+    assert rel(special_functions._lgamma_ratio(s, a), want) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # J
 
