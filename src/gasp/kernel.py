@@ -191,10 +191,16 @@ def _mass_with_error(p, y, acc=EvalAccuracy()):
     return mass, err
 
 
+def _union(a, b):
+    """np.union1d(a, b), without the import of numpy.ma that np.unique makes."""
+    v = np.sort(np.concatenate([np.ravel(a), np.ravel(b)]))
+    return v[np.concatenate([[True], v[1:] != v[:-1]])]
+
+
 _POLE_GAP = 1e-6  # below this elevation angle the series is exact to rounding
 # _cone_mass's panels: geometric from _POLE_GAP to pi/2, never coarser than pi/512
-_ANGLES = np.union1d(np.geomspace(_POLE_GAP, 0.5 * math.pi, 129),
-                     np.linspace(0.0, 0.5 * math.pi, 257)[1:])
+_ANGLES = _union(np.geomspace(_POLE_GAP, 0.5 * math.pi, 129),
+                 np.linspace(0.0, 0.5 * math.pi, 257)[1:])
 
 
 def _pole_series(p, s):
@@ -218,7 +224,7 @@ def _cone_mass(p, s, order=8):
     cancellation.
     """
     s = np.asarray(s, dtype=float)
-    edges = np.union1d(np.maximum(s, _POLE_GAP), _ANGLES)
+    edges = _union(np.maximum(s, _POLE_GAP), _ANGLES)
     pieces = panel_integrate(lambda t: np.sin(t) ** p.alpha * np.cos(t) ** (p.n - 1),
                              edges, order=order)
     cum = _pole_series(p, _POLE_GAP) + np.concatenate([[0.0], np.cumsum(pieces)])
@@ -256,6 +262,23 @@ def _derivative_terms(n, s0, components):
     return terms
 
 
+_LIFT = 2.0 ** 512  # prefactors past this may lift an underflowed power
+_TINY = np.finfo(float).tiny
+
+
+def _log_term(p, s, diffs, y):
+    """c_norm y^(alpha+1) S^(-s), S = y^2 + |x|^2, through logs: S is taken
+    over its largest part m, so it neither overflows nor underflows."""
+    m = y
+    for d in diffs:
+        m = np.maximum(m, np.abs(d))
+    t = (y / m) ** 2
+    for d in diffs:
+        t = t + (d / m) ** 2
+    return np.exp(math.log(p.c_norm) + (p.alpha + 1.0) * np.log(y)
+                  - s * (2.0 * np.log(m) + np.log(t)))
+
+
 def kernel_deriv_eval(p, components, diffs, y):
     """(d/dx)^beta K_{alpha,y} at the offsets x = diffs; no input checks.
 
@@ -290,14 +313,29 @@ def kernel_deriv_eval(p, components, diffs, y):
             # it underflows; through the log it underflows to 0
             cur_pow = np.exp(-(s0 + k) * np.log(big_r)) \
                 if np.iscomplexobj(big_r) else big_r ** (-(s0 + k))
-            pref = p.c_norm * inv_y ** (p.n + 2 * k)
+            try:
+                pref = p.c_norm * inv_y ** (p.n + 2 * k)
+            except OverflowError:  # a float height below about 1e-154
+                pref = math.inf
             cur_k = k
         while cur_k < k:
             cur_pow = cur_pow / big_r
             pref = pref * (inv_y * inv_y)
             cur_k += 1
-        # the prefactor rides on the coefficient: no pass of its own
-        piece = pref * coef * cur_pow
+        big = pref > _LIFT
+        if (big.any() if isinstance(big, np.ndarray) else big) \
+                and not np.iscomplexobj(big_r):
+            # tiny heights: where the prefactor overflows, or the power
+            # underflows beneath it, the term comes from logs
+            with np.errstate(invalid="ignore"):
+                piece = pref * coef * cur_pow
+            lost = ~np.isfinite(pref) | (cur_pow < _TINY)
+            piece = np.where(lost, coef * _log_term(p, s0 + k, diffs, y), piece)
+            if not np.all(np.isfinite(piece)):
+                raise OverflowError("the kernel value overflows doubles")
+        else:
+            # the prefactor rides on the coefficient: no pass of its own
+            piece = pref * coef * cur_pow
         for d, e in zip(diffs, expo):
             if e:
                 piece = piece * d ** e

@@ -134,6 +134,25 @@ def test_cli_import_pulls_in_no_test_dependency():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_ma_out():
+    # np.unique imports numpy.ma on its first call; no import-time table
+    # may call it, since every command pays that import
+    code = "import sys, gasp.cli; print('numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_kernel_eval_at_small_height(runner):
+    # y^-2 alone overflows here, though K = y / (2 pi (|x|^2 + y^2)^1.5)
+    # does not; mpmath at 40 digits
+    result = runner.invoke(main, ["kernel", "eval", "--alpha", "0", "--n", "2",
+                                  "--x", "1e-5,0", "--y", "1e-160"])
+    assert result.exit_code == 0, result.output
+    assert float(result.output) == pytest.approx(1.5915494309189529e-146, rel=1e-13)
+
+
 def test_kernel_eval_matches_library(runner):
     result = runner.invoke(main, ["kernel", "eval", "--alpha", "1.5",
                                   "--n", "2", "--x", "0.3,0.4", "--y", "0.7"])

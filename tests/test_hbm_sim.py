@@ -141,19 +141,33 @@ def test_worker_pool_is_invisible():
         assert np.array_equal(one.stop_times, two.stop_times)
 
 
+def _fresh_walk(key):
+    """A fresh SFC64 Generator on the first three words of Philox ``key`` at
+    counter 0, counter 1, as the layout documents it."""
+    sfc = np.random.SFC64()
+    state = sfc.state
+    words = np.random.Philox(key=key).random_raw(4)
+    words[3] = 1
+    state["state"]["state"] = words
+    sfc.state = state
+    return np.random.Generator(sfc)
+
+
 @pytest.mark.parametrize("seed", [0, 314, 2**64 - 1])
 def test_rekeyed_stream_is_a_fresh_philox(seed):
+    # block 1 is a fresh Philox at counter 2**192, block 0 a fresh SFC64
+    # seeded from the same key's stream at counter 0
     stream = hbm_sim._path_streams(seed)
     for i in (0, 1, 5, 2**40 + 3):
+        # a key list goes through float64 at 2**63 and above; the
+        # integer key sets the same two words exactly
+        key = [seed, i] if seed < 2**63 else seed + (i << 64)
         for block in (0, 1):
             rng = stream(i, block)
             got = (rng.standard_normal(3), rng.integers(2**32, dtype=np.uint32),
                    rng.standard_gamma(0.5), rng.bit_generator.random_raw(5))
-            # a key list goes through float64 at 2**63 and above; the
-            # integer key sets the same two words exactly
-            key = [seed, i] if seed < 2**63 else seed + (i << 64)
-            fresh = np.random.Generator(
-                np.random.Philox(key=key, counter=block * 2**192))
+            fresh = (np.random.Generator(np.random.Philox(key=key, counter=2**192))
+                     if block else _fresh_walk(key))
             want = (fresh.standard_normal(3), fresh.integers(2**32, dtype=np.uint32),
                     fresh.standard_gamma(0.5), fresh.bit_generator.random_raw(5))
             for g, w in zip(got, want):
@@ -161,10 +175,10 @@ def test_rekeyed_stream_is_a_fresh_philox(seed):
 
 
 def test_stream_layout_is_documented_one():
-    # rebuild each path from fresh Philox streams: one normal per step from
-    # counter 0 drives log Y (linear interpolation in log Y at the
-    # crossing); from counter 2**192 one G ~ Gamma(mu) below the floor
-    # (boundary mode only), then the n normals of X ~ N(start.x, V)
+    # rebuild each path from fresh streams: one normal per step from the
+    # SFC64 walk drives log Y (linear interpolation in log Y at the
+    # crossing); from Philox counter 2**192 one G ~ Gamma(mu) below the
+    # floor (boundary mode only), then the n normals of X ~ N(start.x, V)
     for n, level in ((1, False), (2, False), (1, True), (2, True)):
         start = HalfSpacePoint(x=(0.25,) * n, y=2.0 if level else 1.0)
         cfg = make_cfg(p=ModelParams(alpha=0.0, n=n), start=start, n_paths=3,
@@ -173,7 +187,7 @@ def test_stream_layout_is_documented_one():
         got = simulate_paths(cfg)
         sq, log_stop = math.sqrt(cfg.dt), math.log(cfg.stop_level)
         for i in range(cfg.n_paths):
-            walk = np.random.Generator(np.random.Philox(key=[314, i]))
+            walk = _fresh_walk([314, i])
             logs = math.log(start.y) + np.cumsum(
                 walk.standard_normal(8192) * sq - cfg.mu * cfg.dt)
             starts = np.concatenate([[math.log(start.y)], logs[:-1]])
@@ -189,6 +203,18 @@ def test_stream_layout_is_documented_one():
             x = np.asarray(start.x) + math.sqrt(v) * tail.standard_normal(n)
             np.testing.assert_allclose(got.samples[i], x, rtol=1e-14, atol=0.0)
             assert got.stop_times[i] == (k + theta) * cfg.dt
+
+
+def test_neighbouring_walks_are_uncorrelated():
+    # every path's walk has its own SFC64 words: a state set under the
+    # wrong names would leave one stream for all paths, and correlation 1
+    stream = hbm_sim._path_streams(2026)
+    z = np.array([stream(i).standard_normal(1000) for i in range(400)])
+    assert not np.any(np.all(z[1:] == z[:-1], axis=1))
+    z -= z.mean(axis=1, keepdims=True)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    corr = np.sum(z[1:] * z[:-1], axis=1)
+    assert np.max(np.abs(corr)) <= 4.0 / math.sqrt(z.shape[1])
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0, 3.0])

@@ -394,6 +394,29 @@ def test_kernel_deriv_eval_large_alpha_is_finite_and_bitwise_scalar(y):
     assert np.all(np.isfinite(kernel_deriv_eval(p, (2, 1), (d1 + 0.3 * y, -0.1 * y), y)))
 
 
+@pytest.mark.parametrize("alpha, x, y, beta, want", [
+    # mpmath at 40 digits of c_norm y^(alpha+1) S^-s0 and its x_1 derivative;
+    # the prefactor c_norm y^-n overflows at the first two, and at the
+    # last two R^-s0 underflows to 0 beneath a finite prefactor
+    (0.0, (1e-5, 0.0), 1e-160, (0, 0), 1.5915494309189529e-146),
+    (0.0, (1e-5, 0.0), 1e-160, (1, 0), -4.7746482927568585e-141),
+    (0.0, (1e-5, 0.0), 1e-150, (0, 0), 1.5915494309189530e-136),
+    (-0.5, (3e-7,), 1e-300, (0,), 1.1605020234090245e-141),
+])
+def test_kernel_at_small_heights(alpha, x, y, beta, want):
+    got = kernel_derivative(ModelParams(alpha, len(x)), MultiIndex(beta),
+                            HalfSpacePoint(x, y))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_kernel_past_overflow_at_small_height_raises():
+    # K = c_norm y^-2 at x = 0 is about 1.6e309: no double holds it
+    with pytest.raises(OverflowError):
+        poisson_kernel(ModelParams(0.0, 2), HalfSpacePoint((0.0, 0.0), 1e-155))
+    with pytest.raises(OverflowError):
+        kernel_profile(ModelParams(0.0, 2), np.array([0.0, 1e-5]), 1e-160)
+
+
 def test_scalar_calls_are_bitwise_the_array_call():
     # NumPy's vectorized ** and Python's float ** round apart in about 5%
     # of cases; the point entry points evaluate through one-element arrays
